@@ -58,11 +58,12 @@
 //	internal/accel/...    the accelerators: lsh, graph, search, tablescan,
 //	                      mapreduce, spmv
 //	internal/ispvol       distributed in-store processing over
-//	                      volume+sched+fabric: per-node engines admitted at
-//	                      the Accel class, fan-out/merge queries over volume
-//	                      ranges and over cluster-RFS files (Figure 8) —
-//	                      string search, table scan, nearest-neighbor
-//	                      (NearestNeighbor/-File + host twins) — and
+//	                      volume+sched+fabric: one fan-out/merge query
+//	                      engine (Figure 8), named by kernel (Search,
+//	                      TableScan, NearestNeighbor) × source (volume
+//	                      range or pages, file or file pages) × placement
+//	                      (Device: per-node engines admitted at the Accel
+//	                      class; Host: the host-mediated arm) — and
 //	                      in-store graph traversal with walker migration
 //	                      (WalkMigrate: state moves to the data over the
 //	                      fabric instead of pages moving to a home node)

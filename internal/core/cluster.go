@@ -19,19 +19,8 @@ type Cluster struct {
 	Net    *fabric.Network
 	nodes  []*Node
 
-	hops        [][]int // precomputed hop distances
-	router      HostRouter
-	accelRouter AccelRouter
+	hops [][]int // precomputed hop distances
 }
-
-// SetHostRouter installs (or, with nil, removes) the scheduler hook
-// that admits host traffic. See HostRouter and Node.HostRead.
-func (c *Cluster) SetHostRouter(r HostRouter) { c.router = r }
-
-// SetAccelRouter installs (or, with nil, removes) the scheduler hook
-// that admits in-store processor reads. See AccelRouter and
-// Node.ISPRead.
-func (c *Cluster) SetAccelRouter(r AccelRouter) { c.accelRouter = r }
 
 // NewCluster builds and wires the whole appliance.
 func NewCluster(p Params) (*Cluster, error) {

@@ -198,27 +198,11 @@ func (n *Node) EraseLocal(card int, addr nand.Addr, cb func(err error)) {
 // ISPRead reads any page in the cluster from this node's in-store
 // processor. Local pages use the local flash interface; remote pages
 // go over the integrated storage network to the remote flash server —
-// the ISP-F path, with zero host involvement anywhere.
-//
-// When an AccelRouter is installed on the cluster (by the request
-// scheduler), the read is admitted through it first, so ISP traffic
-// shares the per-node device window and the Accel token budget with
-// host traffic instead of bypassing QoS arbitration. The data path
-// after the grant is identical: the router issues via ISPReadDirect.
+// the ISP-F path, with zero host involvement anywhere. It is the raw
+// device path, invisible to the request scheduler: scheduled ISP
+// traffic is admitted through sched.AccelStream, which issues here
+// once granted.
 func (n *Node) ISPRead(a PageAddr, cb func(data []byte, err error)) {
-	if r := n.cluster.accelRouter; r != nil {
-		r(n.id, a, cb)
-		return
-	}
-	n.ISPReadDirect(a, cb)
-}
-
-// ISPReadDirect is the raw device-side read path underneath ISPRead:
-// it always issues immediately, even when an accel router is
-// installed. It exists for the scheduler's own issue path (a granted
-// Accel request must not re-enter admission); every other caller
-// should use ISPRead so an installed router can arbitrate.
-func (n *Node) ISPReadDirect(a PageAddr, cb func(data []byte, err error)) {
 	if a.Node == n.id {
 		n.ReadLocal(a.Card, a.Addr, cb)
 		return
@@ -365,21 +349,6 @@ type HostReq struct {
 	Done       func(data []byte, err error)
 }
 
-// HostRouter admits host traffic into an external request scheduler.
-// node is the index of the node whose host issued the request. A
-// non-nil error (typically the scheduler's backpressure error) means
-// the request was NOT admitted and its Done will never fire.
-type HostRouter func(node int, req HostReq) error
-
-// AccelRouter admits device-side in-store processor reads into an
-// external request scheduler. origin is the node whose ISP issued the
-// read; a is the page anywhere in the cluster. The router owns the
-// completion: cb fires exactly once (with the page data or an error),
-// and admission backpressure is absorbed inside the router, because
-// ISP engine pump loops predate the scheduler and never handled
-// admission errors.
-type AccelRouter func(origin int, a PageAddr, cb func(data []byte, err error))
-
 // SubmitHostBatch issues a group of host requests paying the storage
 // stack software overhead and the RPC doorbell ONCE for the whole
 // batch: the driver rings the device with a queue of requests, which
@@ -515,19 +484,7 @@ func (n *Node) issueHostErase(a PageAddr, bg bool, done func(err error)) {
 
 // HostRead fetches a page into host memory via the selected access
 // path, filling tr (optional) with the latency decomposition.
-//
-// When a HostRouter is installed on the cluster, untraced PathHF/ISPF
-// reads are admitted through it instead of issuing directly, so all
-// production host traffic shares the scheduler's admission queues.
-// Traced calls and the special H-RH-F / H-D paths bypass the router:
-// they are the single-request measurement harness of Figures 12/14.
 func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []byte, err error)) {
-	if r := n.cluster.router; r != nil && tr == nil && (path == PathHF || path == PathISPF) {
-		if err := r(n.id, HostReq{Addr: a, Done: cb}); err != nil {
-			cb(nil, err)
-		}
-		return
-	}
 	start := n.cluster.Eng.Now()
 	h := n.Host.Config()
 	net := n.cluster.Net.Config()
@@ -605,16 +562,8 @@ func (n *Node) HostRead(a PageAddr, path AccessPath, tr *Trace, cb func(data []b
 
 // HostWrite stores a page from host memory to any flash page in the
 // cluster: write buffer, RPC, PCIe DMA down, then flash (local) or
-// network (remote). Like HostRead, it routes through an installed
-// HostRouter so the scheduler sees all production host traffic.
+// network (remote).
 func (n *Node) HostWrite(a PageAddr, data []byte, cb func(err error)) {
-	if r := n.cluster.router; r != nil {
-		if err := r(n.id, HostReq{Addr: a, Write: true, Data: data,
-			Done: func(_ []byte, err error) { cb(err) }}); err != nil {
-			cb(err)
-		}
-		return
-	}
 	n.Host.ChargeSoftware(func() {
 		n.Host.AcquireWriteBuffer(func(_ int) {
 			n.Host.RPC(func() {

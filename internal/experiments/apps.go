@@ -404,9 +404,9 @@ func runAppsArm(cfg AppsConfig, mode appsArmMode) (AppsArm, error) {
 					}
 					ids, lpns := st.queryCands[qi], st.queryLpns[qi]
 					if mode == appsNNDist {
-						st.sys.NearestNeighbor(0, st.queries[qi], ids, lpns, done)
+						st.sys.NearestNeighbor(0, ispvol.VolumePages(lpns), ispvol.Device, st.queries[qi], ids, done)
 					} else {
-						st.sys.NearestNeighborHost(0, st.queries[qi], ids, lpns, done)
+						st.sys.NearestNeighbor(0, ispvol.VolumePages(lpns), ispvol.Host, st.queries[qi], ids, done)
 					}
 				}
 				runQ()

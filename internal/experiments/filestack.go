@@ -486,9 +486,9 @@ func runRFSArm(cfg FileStackConfig, mode fsArmMode) (FileArm, error) {
 					return
 				}
 				if mode == fsArmRFSHostMed {
-					sys.SearchFileHost(0, scanF, needle, done)
+					sys.Search(0, ispvol.File(scanF), ispvol.Host, needle, done)
 				} else {
-					sys.SearchFile(0, scanF, needle, done)
+					sys.Search(0, ispvol.File(scanF), ispvol.Device, needle, done)
 				}
 			}
 			runQ()

@@ -280,9 +280,9 @@ func runISPArm(cfg ISPContentionConfig, mode ispArmMode) (ISPArm, error) {
 					return
 				}
 				if mode == armHostMediated {
-					sys.SearchHost(0, 0, cfg.QueryPages, needle, done)
+					sys.Search(0, ispvol.VolumeRange(0, cfg.QueryPages), ispvol.Host, needle, done)
 				} else {
-					sys.Search(0, 0, cfg.QueryPages, needle, done)
+					sys.Search(0, ispvol.VolumeRange(0, cfg.QueryPages), ispvol.Device, needle, done)
 				}
 			}
 			runQ()

@@ -69,11 +69,11 @@ func TestDistributedNNMatchesBruteAndHost(t *testing.T) {
 	}
 	lpns := append([]int(nil), ids...) // item id == its volume page
 
-	dist, err := sys.NearestNeighborSync(0, query, ids, lpns)
+	dist, err := nnSync(sys, 0, ispvol.VolumePages(lpns), ispvol.Device, query, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := sys.NearestNeighborHostSync(0, query, ids, lpns)
+	host, err := nnSync(sys, 0, ispvol.VolumePages(lpns), ispvol.Host, query, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +113,23 @@ func TestDistributedNNMatchesBruteAndHost(t *testing.T) {
 // TestNNEmptyAndMismatchedCandidates: edge cases fail cleanly.
 func TestNNEmptyAndMismatchedCandidates(t *testing.T) {
 	_, _, _, sys, _, query := nnFixture(t, 2, 16)
-	res, err := sys.NearestNeighborSync(0, query, nil, nil)
+	res, err := nnSync(sys, 0, ispvol.VolumePages(nil), ispvol.Device, query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BestID != -1 || res.Comparisons != 0 {
 		t.Fatalf("empty candidate list produced %+v", res)
 	}
-	if _, err := sys.NearestNeighborSync(0, query, []int{1, 2}, []int{1}); err == nil {
+	if _, err := nnSync(sys, 0, ispvol.VolumePages([]int{1}), ispvol.Device, query, []int{1, 2}); err == nil {
 		t.Fatal("mismatched ids/pages accepted")
 	}
+}
+
+// walkSync runs one migrating traversal to completion.
+func walkSync(sys *ispvol.System, origin int, g *graph.Graph, cfg graph.TraverseConfig) (*ispvol.WalkResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.WalkResult, error)) {
+		sys.WalkMigrate(origin, g, cfg, done)
+	})
 }
 
 // walkFixture stores a graph in volume pages [0, V) and returns the
@@ -165,7 +172,7 @@ func TestWalkMigrateMatchesReference(t *testing.T) {
 	gcfg := graph.Config{Vertices: 150, AvgDegree: 6, Seed: 7}
 	_, _, sys, g := walkFixture(t, 3, gcfg)
 	cfg := graph.TraverseConfig{Start: 4, Steps: 50, Seed: 13, Walkers: 3}
-	res, err := sys.WalkMigrateSync(0, g, cfg)
+	res, err := walkSync(sys, 0, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +200,7 @@ func TestWalkMigrateMatchesHostTraversal(t *testing.T) {
 	gcfg := graph.Config{Vertices: 120, AvgDegree: 5, Seed: 19}
 	c, _, sys, g := walkFixture(t, 2, gcfg)
 	cfg := graph.TraverseConfig{Start: 2, Steps: 40, Seed: 23, Walkers: 2, Mode: graph.ModeHRHF}
-	mig, err := sys.WalkMigrateSync(0, g, cfg)
+	mig, err := walkSync(sys, 0, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func TestWalkMigrateFailingRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.WalkMigrateSync(0, bad, graph.TraverseConfig{Start: 1, Steps: 20, Seed: 3, Walkers: 2})
+	_, err = walkSync(sys, 0, bad, graph.TraverseConfig{Start: 1, Steps: 20, Seed: 3, Walkers: 2})
 	if err == nil {
 		t.Fatal("failing reads reported success")
 	}

@@ -21,7 +21,7 @@ func TestEngineReadFaultsSurface(t *testing.T) {
 	want := referenceMatches(t, fill, lo, hi, ps, needle)
 
 	c.Node(1).Card(0).Fail()
-	res, err := sys.SearchSync(0, lo, hi, needle)
+	res, err := searchSync(sys, 0, ispvol.VolumeRange(lo, hi), ispvol.Device, needle)
 	if err != nil {
 		t.Fatal(err)
 	}

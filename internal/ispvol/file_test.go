@@ -1,4 +1,4 @@
-package ispvol
+package ispvol_test
 
 // Tests for distributed queries over files of the cluster RFS: the
 // Figure 8 pipeline end-to-end (file -> cluster-wide physical-address
@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/accel/tablescan"
 	"repro/internal/core"
+	"repro/internal/ispvol"
 	"repro/internal/rfs"
 	"repro/internal/sched"
 )
@@ -23,7 +24,7 @@ func fileParams(nodes int) core.Params {
 	return p
 }
 
-func newFileSystem(t *testing.T, nodes int) (*core.Cluster, *rfs.FS, *System) {
+func newFileSystem(t *testing.T, nodes int) (*core.Cluster, *rfs.FS, *ispvol.System) {
 	t.Helper()
 	c, err := core.NewCluster(fileParams(nodes))
 	if err != nil {
@@ -39,7 +40,7 @@ func newFileSystem(t *testing.T, nodes int) (*core.Cluster, *rfs.FS, *System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(c, s, nil, DefaultConfig())
+	sys, err := ispvol.New(c, s, nil, ispvol.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSearchFileDistributedVsHostMediated(t *testing.T) {
 	const pages = 128
 	f := seedFile(t, c, fs, "haystack", pages, needlePages(needle, fs.PageSize()))
 
-	dist, err := sys.SearchFileSync(0, f, []byte(needle))
+	dist, err := searchSync(sys, 0, ispvol.File(f), ispvol.Device, []byte(needle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSearchFileDistributedVsHostMediated(t *testing.T) {
 	if want := pages/4 + 1; len(dist.Matches) != want {
 		t.Fatalf("distributed found %d matches, want %d", len(dist.Matches), want)
 	}
-	host, err := sys.SearchFileHostSync(0, f, []byte(needle))
+	host, err := searchSync(sys, 0, ispvol.File(f), ispvol.Host, []byte(needle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +163,11 @@ func TestTableScanFileDistributedVsHostMediated(t *testing.T) {
 	f := seedFile(t, c, fs, "table", pages, gen)
 
 	pred := tablescan.Predicate{Col: tablescan.ColB, Op: tablescan.OpEQ, Value: 3}
-	dist, err := sys.TableScanFileSync(0, f, pred)
+	dist, err := scanSync(sys, 0, ispvol.File(f), ispvol.Device, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := sys.TableScanFileHostSync(0, f, pred)
+	host, err := scanSync(sys, 0, ispvol.File(f), ispvol.Host, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,16 +191,16 @@ func TestTableScanFileDistributedVsHostMediated(t *testing.T) {
 
 func TestVolumeRangeQueriesRequireVolume(t *testing.T) {
 	_, _, sys := newFileSystem(t, 1)
-	if _, err := sys.SearchSync(0, 0, 8, []byte("x")); err == nil {
+	if _, err := searchSync(sys, 0, ispvol.VolumeRange(0, 8), ispvol.Device, []byte("x")); err == nil {
 		t.Fatal("volume-range search on a volume-less system succeeded")
 	}
-	if _, err := sys.SearchHostSync(0, 0, 8, []byte("x")); err == nil {
+	if _, err := searchSync(sys, 0, ispvol.VolumeRange(0, 8), ispvol.Host, []byte("x")); err == nil {
 		t.Fatal("volume-range host search on a volume-less system succeeded")
 	}
-	if _, err := sys.TableScanSync(0, 0, 8, tablescan.Predicate{}); err == nil {
+	if _, err := scanSync(sys, 0, ispvol.VolumeRange(0, 8), ispvol.Device, tablescan.Predicate{}); err == nil {
 		t.Fatal("volume-range scan on a volume-less system succeeded")
 	}
-	if _, err := sys.TableScanHostSync(0, 0, 8, tablescan.Predicate{}); err == nil {
+	if _, err := scanSync(sys, 0, ispvol.VolumeRange(0, 8), ispvol.Host, tablescan.Predicate{}); err == nil {
 		t.Fatal("volume-range host scan on a volume-less system succeeded")
 	}
 }

@@ -97,9 +97,11 @@ type walkQuery struct {
 // and the result has DMA'd into its host's memory; the caller drives
 // the engine. A failed lookup fails the run, exactly like
 // graph.Traverse.
+//
+//simlint:once done
 func (sys *System) WalkMigrate(origin int, g *graph.Graph, cfg graph.TraverseConfig, done func(*WalkResult, error)) {
 	if origin < 0 || origin >= sys.c.Nodes() {
-		done(nil, fmt.Errorf("ispvol: origin %d out of range", origin))
+		done(nil, fmt.Errorf("%w: origin node %d", ErrOutOfRange, origin))
 		return
 	}
 	if cfg.Steps <= 0 {
@@ -170,7 +172,7 @@ func (sys *System) runWalkStep(ns *nodeISP, m *walkerMsg) {
 	// (The decode runs after the unit frees: parsing an adjacency
 	// list is free in the model, like the engines' inline compares.)
 	ns.units.Submit(func(unitDone func()) {
-		sys.readPage(self, pageRef{addr: addr}, func(data []byte, err error) {
+		sys.readPage(self, addr, func(data []byte, err error) {
 			unitDone()
 			if err != nil {
 				fail(err)
@@ -231,20 +233,4 @@ func (q *walkQuery) part(msg any) {
 		}
 		q.done(q.res, nil)
 	})
-}
-
-// WalkMigrateSync runs WalkMigrate and drains the engine; for tests
-// and examples with nothing else in flight.
-func (sys *System) WalkMigrateSync(origin int, g *graph.Graph, cfg graph.TraverseConfig) (*WalkResult, error) {
-	var res *WalkResult
-	var rerr error
-	fired := false
-	sys.WalkMigrate(origin, g, cfg, func(r *WalkResult, e error) {
-		res, rerr, fired = r, e, true
-	})
-	sys.c.Run()
-	if !fired {
-		return nil, fmt.Errorf("ispvol: migrating traversal never completed")
-	}
-	return res, rerr
 }

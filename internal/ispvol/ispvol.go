@@ -13,42 +13,45 @@
 // the accel token budget) and then issues on the device-side ISP
 // path, keeping the zero-host-involvement data path.
 //
-// A query runs the way Figure 8 describes:
+// Every scan query is one pipeline, the one Figure 8 describes, and
+// is named by three independent choices: a kernel × a Source × a
+// Placement.
 //
-//  1. the origin node's host resolves the logical range to physical
-//     pages (volume.PhysMap — the RFS-style physical address query)
-//     and partitions the list by owning node;
-//  2. one engine per node claims a hardware acceleration unit (the
+//   - The kernel is the query: string search (Search), table scan
+//     (TableScan) or nearest-neighbor over LSH candidates
+//     (NearestNeighbor). It says how one page folds into a partial
+//     result, what a partial costs on the wire, how partials merge
+//     (deterministically, in any order) and what folding a page costs
+//     a host CPU.
+//   - The Source is the pages: a range or a list of pages of the
+//     volume, or a whole file or a list of pages of a cluster RFS
+//     file. It is validated once, for both placements.
+//   - The Placement is where the pages are reduced. Device runs the
+//     Figure 8 pipeline: (1) the origin node's host resolves the
+//     source to physical pages and partitions them by owning node;
+//     (2) one engine per node claims a hardware acceleration unit (the
 //     FIFO unit scheduler of internal/isp) and streams its partition
 //     off the local flash, window-deep, through the node's
-//     sched.AccelStream;
-//  3. each engine reduces its pages next to the flash (Morris-Pratt
-//     match offsets, predicate-filtered records) and ships only the
-//     results to the origin over the integrated storage network;
-//  4. the origin merges the partial results (stitching page-boundary
-//     junctions for string search) and DMAs the final answer into
-//     host memory.
+//     sched.AccelStream; (3) each engine folds its pages into one
+//     partial next to the flash and ships only that to the origin over
+//     the integrated storage network; (4) the origin merges the
+//     partials and DMAs the answer into host memory. Host is the
+//     host-mediated arm: the origin host reads every page at
+//     Config.HostClass and folds it in software on worker threads,
+//     one partial per thread.
 //
-// Queries run over two stores: logical ranges of the volume
-// (Search/TableScan) and, completing the paper's Figure 8 pipeline,
-// files of the cluster-wide RFS (SearchFile/TableScanFile) — the file
-// system's physical-address query feeds the same per-node engines, so
-// the whole appliance scans a file at flash bandwidth with the host
-// only resolving addresses and merging results.
+// Both placements merge through the same kernel code, so their
+// answers can only diverge on the data path — which is what the
+// experiments' cross-validation of the two arms tests.
 //
-// On top of the scan queries sit the paper's flagship applications:
-// nearest-neighbor search over LSH candidate lists (NearestNeighbor
-// and NearestNeighborFile, with host-mediated twins), where each
-// node's engine Hamming-compares its candidates inline and only
-// per-node bests cross the network, and in-store graph traversal
-// with walker migration (WalkMigrate), where the walk's state —
-// vertex, steps, checksum, RNG — hops node to node over the fabric
-// so every dependent lookup reads flash locally.
+// Beside the scan queries sits in-store graph traversal with walker
+// migration (WalkMigrate), where the walk's state — vertex, steps,
+// checksum, RNG — hops node to node over the fabric so every
+// dependent lookup reads flash locally.
 //
-// The package also implements the two comparison arms the experiments
-// need: Bypass admission (the pre-fix bug path — raw device
-// interfaces, invisible to the scheduler) and host-mediated queries
-// (every page crosses PCIe and is reduced in host software).
+// Bypass admission keeps the pre-fix bug as an explicit experiment
+// arm: engine reads hit the raw device interfaces, invisible to the
+// scheduler.
 package ispvol
 
 import (
@@ -168,15 +171,25 @@ type queryState interface {
 	part(msg any)
 }
 
-// ErrNoVolume reports a logical-range query on a System built without
-// a volume.
-var ErrNoVolume = errors.New("ispvol: no volume attached; use the file-based queries")
+var (
+	// ErrNoVolume reports a volume Source on a System built without a
+	// volume.
+	ErrNoVolume = errors.New("ispvol: no volume attached; use a file source")
+	// ErrOutOfRange reports an origin node or a Source page outside the
+	// cluster, volume or file.
+	ErrOutOfRange = errors.New("ispvol: out of range")
+	// ErrPatternTooLong reports a search needle or nearest-neighbor
+	// item longer than one page. Engines stitch matches only across
+	// the junction of two adjacent pages, so a longer needle could
+	// span three pages and be missed by both placements alike.
+	ErrPatternTooLong = errors.New("ispvol: pattern longer than a page")
+)
 
 // New attaches the subsystem to a cluster, scheduler and volume (all
 // three must belong together). It binds MergeEP on every node. v may
 // be nil for deployments that run queries over files (an rfs cluster
-// file system instead of the logical volume); the volume-ranged entry
-// points then fail with ErrNoVolume.
+// file system instead of the logical volume); volume sources then
+// fail with ErrNoVolume.
 func New(c *core.Cluster, s *sched.Scheduler, v *volume.Volume, cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if cfg.HostClass >= sched.Accel {
@@ -212,26 +225,33 @@ func (sys *System) Cluster() *core.Cluster { return sys.c }
 // Units exposes a node's acceleration-unit scheduler (for tests).
 func (sys *System) Units(node int) *isp.Scheduler { return sys.nodes[node].units }
 
+// Sync runs one asynchronous query — run starts it with the given
+// completion — and drains the engine; for tests and examples that
+// have nothing else in flight:
+//
+//	res, err := ispvol.Sync(sys, func(done func(*ispvol.SearchResult, error)) {
+//		sys.Search(0, ispvol.VolumeRange(0, 64), ispvol.Device, needle, done)
+//	})
+func Sync[R any](sys *System, run func(done func(R, error))) (R, error) {
+	var res R
+	var rerr error
+	fired := false
+	run(func(r R, e error) { res, rerr, fired = r, e, true })
+	sys.c.Run()
+	if !fired {
+		return res, errors.New("ispvol: query never completed")
+	}
+	return res, rerr
+}
+
 // receive dispatches an inbound fabric message on a node.
 func (sys *System) receive(ns *nodeISP, payload any) {
 	switch m := payload.(type) {
-	case *searchStartMsg:
-		sys.runSearchPart(ns, m)
-	case *scanStartMsg:
-		sys.runScanPart(ns, m)
-	case *nnStartMsg:
-		sys.runNNPart(ns, m)
+	case *startMsg:
+		sys.runPart(ns, m)
 	case *walkerMsg:
 		sys.runWalkStep(ns, m)
-	case *searchPartMsg:
-		if q, ok := sys.pending[m.query]; ok {
-			q.part(m)
-		}
-	case *scanPartMsg:
-		if q, ok := sys.pending[m.query]; ok {
-			q.part(m)
-		}
-	case *nnPartMsg:
+	case *partMsg:
 		if q, ok := sys.pending[m.query]; ok {
 			q.part(m)
 		}
@@ -256,169 +276,6 @@ func (sys *System) deliver(src, dst int, size int, msg any) {
 	}
 }
 
-// pageRef is one page of a query partition.
-type pageRef struct {
-	qidx int // page index within the query range
-	addr core.PageAddr
-}
-
-// partition resolves [lo, hi) through the volume's physical map
-// (Figure 8 step 1) and groups the pages by owning node.
-func (sys *System) partition(lo, hi int) ([][]pageRef, error) {
-	if sys.v == nil {
-		return nil, ErrNoVolume
-	}
-	addrs, err := sys.v.PhysMap(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return sys.partitionAddrs(addrs), nil
-}
-
-// partitionAddrs groups a resolved physical address list — a volume
-// PhysMap range or a file's PhysicalAddrs — by owning node: the
-// origin-side step that turns one query into per-node engine
-// partitions.
-func (sys *System) partitionAddrs(addrs []core.PageAddr) [][]pageRef {
-	parts := make([][]pageRef, sys.c.Nodes())
-	for i, a := range addrs {
-		parts[a.Node] = append(parts[a.Node], pageRef{qidx: i, addr: a})
-	}
-	return parts
-}
-
-// chipInterleave reorders a partition so consecutive reads target
-// different flash chips. The FTL's frontier allocation packs adjacent
-// logical pages into one physical block — a single chip — so scanning
-// a partition in logical order would convoy the engine's whole read
-// window on one chip at a time while fifteen others idle. Engines
-// scan pages independently (order never affects the result), so they
-// are free to schedule by chip availability, the way the hardware
-// issues reads to whichever bus is free. Buckets by (card, bus,
-// chip), round-robin across buckets; fully deterministic.
-func chipInterleave(refs []pageRef) []pageRef {
-	if len(refs) < 2 {
-		return refs
-	}
-	type chipKey struct{ card, bus, chip int }
-	var order []chipKey
-	buckets := make(map[chipKey][]pageRef)
-	for _, r := range refs {
-		k := chipKey{r.addr.Card, r.addr.Addr.Bus, r.addr.Addr.Chip}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
-		}
-		buckets[k] = append(buckets[k], r)
-	}
-	out := make([]pageRef, 0, len(refs))
-	for len(out) < len(refs) {
-		for _, k := range order {
-			if b := buckets[k]; len(b) > 0 {
-				out = append(out, b[0])
-				buckets[k] = b[1:]
-			}
-		}
-	}
-	return out
-}
-
-// readPage issues one engine flash read on node n's data path.
-func (sys *System) readPage(n int, ref pageRef, cb func(data []byte, err error)) {
-	if sys.cfg.Admission == Bypass {
-		// The bug path: straight to the device interfaces. Deliberately
-		// ISPReadDirect, not ISPRead — an attached accel router must
-		// not be able to rescue this arm, it reproduces the pre-fix
-		// behavior.
-		sys.nodes[n].node.ISPReadDirect(ref.addr, cb)
-		return
-	}
-	st := sys.nodes[n].stream
-	var try func()
-	try = func() {
-		if err := st.Read(ref.addr, cb); err == sched.ErrBackpressure {
-			sys.c.Eng.After(sys.cfg.RetryDelay, try)
-		} else if err != nil {
-			cb(nil, err)
-		}
-	}
-	try()
-}
-
-// runEngine claims one acceleration unit on node n, streams refs
-// window-deep through the node's flash data path, feeds every page to
-// scan (in completion order), then releases the unit and fires done.
-// scan's err is the page's read error (the page is skipped, not
-// fatal).
-func (sys *System) runEngine(n int, refs []pageRef, scan func(i int, ref pageRef, data []byte, err error), done func()) {
-	refs = chipInterleave(refs)
-	sys.nodes[n].units.Submit(func(unitDone func()) {
-		if len(refs) == 0 {
-			unitDone()
-			done()
-			return
-		}
-		next, inflight := 0, 0
-		var pump func()
-		pump = func() {
-			for inflight < sys.cfg.Window && next < len(refs) {
-				i := next
-				next++
-				inflight++
-				sys.readPage(n, refs[i], func(data []byte, err error) {
-					scan(i, refs[i], data, err)
-					inflight--
-					if inflight == 0 && next >= len(refs) {
-						unitDone()
-						done()
-						return
-					}
-					pump()
-				})
-			}
-		}
-		pump()
-	})
-}
-
-// hostScanLoop is the depth-bounded closed loop every host-mediated
-// arm shares: read page i through the host path, hand the data (or
-// the read error) to onPage, and fire finish once every page has been
-// handled. The host arms get the same I/O concurrency budget the ISP
-// arms have (engines x window); each slot is read-then-process, so
-// slots overlap flash, PCIe and CPU work across each other. onPage
-// must call slotDone exactly once, synchronously or from a later
-// event (a worker-thread completion).
-func (sys *System) hostScanLoop(pages int, read func(i int, cb func([]byte, error)),
-	onPage func(i int, data []byte, err error, slotDone func()), finish func()) {
-	if pages == 0 {
-		finish()
-		return
-	}
-	depth := sys.cfg.UnitsPerNode * sys.cfg.Window
-	if depth > pages {
-		depth = pages
-	}
-	next, inflight := 0, 0
-	var pump func()
-	slotDone := func() {
-		inflight--
-		if inflight == 0 && next >= pages {
-			finish()
-			return
-		}
-		pump()
-	}
-	pump = func() {
-		for inflight < depth && next < pages {
-			i := next
-			next++
-			inflight++
-			read(i, func(data []byte, err error) { onPage(i, data, err, slotDone) })
-		}
-	}
-	pump()
-}
-
 // startQuery registers origin-side query state and returns its id.
 func (sys *System) startQuery(q queryState) uint64 {
 	id := sys.nextQuery
@@ -429,6 +286,26 @@ func (sys *System) startQuery(q queryState) uint64 {
 
 // finishQuery drops the registration.
 func (sys *System) finishQuery(id uint64) { delete(sys.pending, id) }
+
+// readPage issues one engine flash read on node n's data path.
+func (sys *System) readPage(n int, a core.PageAddr, cb func(data []byte, err error)) {
+	if sys.cfg.Admission == Bypass {
+		// The bug path: straight to the device interfaces, reproducing
+		// the pre-fix behavior.
+		sys.nodes[n].node.ISPRead(a, cb)
+		return
+	}
+	st := sys.nodes[n].stream
+	var try func()
+	try = func() {
+		if err := st.Read(a, cb); err == sched.ErrBackpressure {
+			sys.c.Eng.After(sys.cfg.RetryDelay, try)
+		} else if err != nil {
+			cb(nil, err)
+		}
+	}
+	try()
+}
 
 // dmaToHost models the final result DMA into the origin host's
 // memory: size bytes through a read buffer plus the completion

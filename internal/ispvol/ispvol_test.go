@@ -41,6 +41,25 @@ func testSystem(t *testing.T, nodes int, icfg ispvol.Config, fill workload.PageF
 	return c, s, v, sys
 }
 
+// searchSync, scanSync and nnSync run one query to completion.
+func searchSync(sys *ispvol.System, origin int, src ispvol.Source, pl ispvol.Placement, needle []byte) (*ispvol.SearchResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.SearchResult, error)) {
+		sys.Search(origin, src, pl, needle, done)
+	})
+}
+
+func scanSync(sys *ispvol.System, origin int, src ispvol.Source, pl ispvol.Placement, pred tablescan.Predicate) (*ispvol.ScanResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.ScanResult, error)) {
+		sys.TableScan(origin, src, pl, pred, done)
+	})
+}
+
+func nnSync(sys *ispvol.System, origin int, src ispvol.Source, pl ispvol.Placement, item []byte, ids []int) (*ispvol.NNResult, error) {
+	return ispvol.Sync(sys, func(done func(*ispvol.NNResult, error)) {
+		sys.NearestNeighbor(origin, src, pl, item, ids, done)
+	})
+}
+
 // plantedFiller seeds deterministic bytes with `needle` planted
 // mid-page on every 3rd page and straddling every 4k+1|4k+2 page
 // boundary, so junction stitching has real work.
@@ -92,7 +111,7 @@ func TestDistributedSearchExact(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("test content has no matches; nothing validated")
 	}
-	res, err := sys.SearchSync(0, lo, hi, needle)
+	res, err := searchSync(sys, 0, ispvol.VolumeRange(lo, hi), ispvol.Device, needle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +157,11 @@ func TestHostMediatedSearchAgrees(t *testing.T) {
 	fill := plantedFiller(needle, ps)
 	_, _, v, sys := testSystem(t, 2, ispvol.DefaultConfig(), fill)
 	lo, hi := 8, v.Pages()/2
-	ispRes, err := sys.SearchSync(1, lo, hi, needle)
+	ispRes, err := searchSync(sys, 1, ispvol.VolumeRange(lo, hi), ispvol.Device, needle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostRes, err := sys.SearchHostSync(1, lo, hi, needle)
+	hostRes, err := searchSync(sys, 1, ispvol.VolumeRange(lo, hi), ispvol.Host, needle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +205,11 @@ func TestDistributedTableScanExact(t *testing.T) {
 	pred := tablescan.Predicate{Col: tablescan.ColA, Op: tablescan.OpLT, Value: 120}
 	lo, hi := 0, v.Pages()
 
-	res, err := sys.TableScanSync(2, lo, hi, pred)
+	res, err := scanSync(sys, 2, ispvol.VolumeRange(lo, hi), ispvol.Device, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostRes, err := sys.TableScanHostSync(2, lo, hi, pred)
+	hostRes, err := scanSync(sys, 2, ispvol.VolumeRange(lo, hi), ispvol.Host, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +264,7 @@ func TestUnitArbitration(t *testing.T) {
 	const queries = 3
 	completed := 0
 	for i := 0; i < queries; i++ {
-		sys.TableScan(i%2, 0, v.Pages(), pred, func(res *ispvol.ScanResult, err error) {
+		sys.TableScan(i%2, ispvol.VolumeRange(0, v.Pages()), ispvol.Device, pred, func(res *ispvol.ScanResult, err error) {
 			if err != nil {
 				t.Errorf("query: %v", err)
 			}
@@ -277,7 +296,7 @@ func TestBypassAdmissionInvisible(t *testing.T) {
 	icfg := ispvol.DefaultConfig()
 	icfg.Admission = ispvol.Bypass
 	_, s, v, sys := testSystem(t, 2, icfg, fill)
-	res, err := sys.SearchSync(0, 0, v.Pages(), needle)
+	res, err := searchSync(sys, 0, ispvol.VolumeRange(0, v.Pages()), ispvol.Device, needle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // AccelStream is an in-store processor's admission handle: the fix
@@ -12,7 +11,7 @@ import (
 // admitted at the node that OWNS the page (that is where the flash
 // contention lives), wait their turn in the Accel class under its
 // token budget, and — once granted a device-window slot — issue on
-// the device-side ISP path (core.Node.ISPReadDirect): local pages hit
+// the device-side ISP path (core.Node.ISPRead): local pages hit
 // the card's ISP interface, remote pages ride the integrated storage
 // network, and no host software, doorbell or DMA is charged anywhere.
 //
@@ -69,42 +68,3 @@ func (st *AccelStream) Read(a core.PageAddr, cb func(data []byte, err error)) er
 // Close marks the stream closed; further submissions fail with
 // ErrClosed. In-flight requests still complete.
 func (st *AccelStream) Close() { st.closed = true }
-
-// AttachAccelRouter installs this scheduler as the cluster's accel
-// router: subsequent core.Node.ISPRead calls — the path every legacy
-// in-store processor uses — are admitted through the Accel class
-// exactly like AccelStream reads, so no accelerator can bypass QoS
-// arbitration just by holding a *core.Node. Admission backpressure is
-// absorbed by retrying after retryDelay (default 5 µs when zero):
-// legacy ISP pump loops predate the scheduler and do not handle
-// admission errors. DetachAccelRouter removes the hook.
-func (s *Scheduler) AttachAccelRouter(retryDelay sim.Time) {
-	if retryDelay <= 0 {
-		retryDelay = 5 * sim.Microsecond
-	}
-	s.cluster.SetAccelRouter(func(origin int, a core.PageAddr, cb func(data []byte, err error)) {
-		if a.Node < 0 || a.Node >= len(s.nodes) {
-			cb(nil, fmt.Errorf("sched: page owner %d out of range [0,%d)", a.Node, len(s.nodes)))
-			return
-		}
-		var try func()
-		try = func() {
-			r := s.getReq()
-			r.class, r.statClass, r.addr, r.accel = Accel, Accel, a, true
-			r.origin, r.enq, r.rcb = origin, s.eng.Now(), cb
-			if err := s.nodes[a.Node].admit(r); err == ErrBackpressure {
-				s.putReq(r)
-				s.eng.After(retryDelay, try)
-			} else if err != nil {
-				s.putReq(r)
-				cb(nil, err)
-			}
-		}
-		try()
-	})
-}
-
-// DetachAccelRouter removes the cluster accel-router hook.
-func (s *Scheduler) DetachAccelRouter() {
-	s.cluster.SetAccelRouter(nil)
-}

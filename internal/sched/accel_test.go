@@ -111,9 +111,8 @@ func TestAccelTokenBudgetBound(t *testing.T) {
 	}
 }
 
-// TestAccelClassClosedToHostPaths: host streams and the host router
-// cannot submit at the Accel class; it belongs to the device-side ISP
-// admission path alone.
+// TestAccelClassClosedToHostPaths: host streams cannot submit at the
+// Accel class; it belongs to the device-side ISP admission path alone.
 func TestAccelClassClosedToHostPaths(t *testing.T) {
 	c := testCluster(t, 1, 16)
 	s, err := sched.New(c, sched.DefaultConfig())
@@ -122,62 +121,6 @@ func TestAccelClassClosedToHostPaths(t *testing.T) {
 	}
 	if _, err := s.NewStream("bad", 0, sched.Accel); err == nil {
 		t.Fatal("host stream opened at the Accel class")
-	}
-	if err := s.AttachRouter(sched.Accel); err == nil {
-		t.Fatal("host router attached at the Accel class")
-	}
-}
-
-// TestAccelRouterClosesBypass: once the scheduler attaches its accel
-// router, legacy core.Node.ISPRead traffic is admitted through the
-// Accel class instead of bypassing QoS arbitration; detaching
-// restores the raw path.
-func TestAccelRouterClosesBypass(t *testing.T) {
-	c := testCluster(t, 2, 64)
-	s, err := sched.New(c, sched.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AttachAccelRouter(0)
-	done := 0
-	for i := 0; i < 16; i++ {
-		a := core.LinearPage(c.Params, i%2, i)
-		c.Node(0).ISPRead(a, func(data []byte, err error) {
-			if err != nil {
-				t.Errorf("ISPRead: %v", err)
-			}
-			done++
-		})
-	}
-	c.Run()
-	if done != 16 {
-		t.Fatalf("completed %d of 16", done)
-	}
-	accelOps := int64(0)
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Class == "accel" {
-			accelOps = cs.Ops
-		}
-	}
-	if accelOps != 16 {
-		t.Fatalf("accel class saw %d ops, want all 16 routed", accelOps)
-	}
-	s.DetachAccelRouter()
-	raw := false
-	c.Node(0).ISPRead(core.LinearPage(c.Params, 0, 0), func(_ []byte, err error) {
-		if err != nil {
-			t.Errorf("raw ISPRead: %v", err)
-		}
-		raw = true
-	})
-	c.Run()
-	if !raw {
-		t.Fatal("detached ISPRead never completed")
-	}
-	for _, cs := range s.Snapshot().Classes {
-		if cs.Class == "accel" && cs.Ops != 16 {
-			t.Fatalf("detached read still routed: accel ops = %d", cs.Ops)
-		}
 	}
 }
 

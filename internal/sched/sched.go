@@ -208,12 +208,9 @@ type request struct {
 	// so the per-dispatch completion callback is bound once, at first
 	// allocation, instead of once per doorbell. nq is the queue the
 	// request is currently admitted to (rebound on every reuse);
-	// done forwards device completions to nq.complete. routedWcb
-	// adapts rcb's two-argument host-router signature to the write
-	// callback without a per-request closure.
-	nq        *nodeQueue
-	done      func(data []byte, err error)
-	routedWcb func(err error)
+	// done forwards device completions to nq.complete.
+	nq   *nodeQueue
+	done func(data []byte, err error)
 }
 
 // getReq pops a recycled request (or allocates one, binding its reusable
@@ -228,12 +225,10 @@ func (s *Scheduler) getReq() *request {
 		s.freeReqs = s.freeReqs[:n-1]
 		return r
 	}
-	//simlint:allow hotpath (pool-miss path: the request and its two bound callbacks are built once and recycled via putReq forever after)
+	//simlint:allow hotpath (pool-miss path: the request and its bound callback are built once and recycled via putReq forever after)
 	r := &request{}
 	//simlint:allow hotpath (bound once per pooled request lifetime, not per dispatch)
 	r.done = func(data []byte, err error) { r.nq.complete(r, data, err) }
-	//simlint:allow hotpath (bound once per pooled request lifetime, not per dispatch)
-	r.routedWcb = func(err error) { r.rcb(nil, err) }
 	return r
 }
 
@@ -247,7 +242,6 @@ func (s *Scheduler) putReq(r *request) {
 		data:      r.data[:0],
 		followers: r.followers[:0],
 		done:      r.done,
-		routedWcb: r.routedWcb,
 	}
 	s.freeReqs = append(s.freeReqs, r)
 }
@@ -281,45 +275,6 @@ func New(cluster *core.Cluster, cfg Config) (*Scheduler, error) {
 
 // Config returns the scheduler configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// AttachRouter installs this scheduler as the cluster's host router:
-// subsequent untraced Node.HostRead/HostWrite calls are admitted
-// through a per-cluster implicit stream of the given class, so legacy
-// single-request callers and scheduler streams share one admission
-// path. DetachRouter removes the hook.
-func (s *Scheduler) AttachRouter(class Class) error {
-	if class >= NumClasses {
-		return fmt.Errorf("sched: class %d out of range", class)
-	}
-	if class == Accel {
-		return fmt.Errorf("sched: %v is the device-side ISP class; host traffic cannot use it", class)
-	}
-	s.cluster.SetHostRouter(func(node int, req core.HostReq) error {
-		r := s.getReq()
-		r.class, r.statClass, r.addr, r.write, r.enq = class, class, req.Addr, req.Write, s.eng.Now()
-		if req.Write {
-			// Snapshot the payload: it sits in the admission queue
-			// after the caller's HostWrite returns, and callers are
-			// free to reuse their buffer once the call returns.
-			r.data = append(r.data[:0], req.Data...)
-			r.rcb = req.Done
-			r.wcb = r.routedWcb
-		} else {
-			r.rcb = req.Done
-		}
-		if err := s.nodes[node].admit(r); err != nil {
-			s.putReq(r)
-			return err
-		}
-		return nil
-	})
-	return nil
-}
-
-// DetachRouter removes the cluster host-router hook.
-func (s *Scheduler) DetachRouter() {
-	s.cluster.SetHostRouter(nil)
-}
 
 // QueueLen returns the current admission-queue occupancy of a node.
 func (s *Scheduler) QueueLen(node int) int { return s.nodes[node].qlen }
@@ -736,7 +691,7 @@ func (nq *nodeQueue) dispatchAccel() {
 		r := nq.pop(Accel)
 		nq.inflight++
 		nq.accelInflight++
-		nq.s.cluster.Node(r.origin).ISPReadDirect(r.addr, r.done)
+		nq.s.cluster.Node(r.origin).ISPRead(r.addr, r.done)
 	}
 }
 
