@@ -5,6 +5,15 @@
 // addresses from the file system, and receives only match locations —
 // the scan itself runs next to the flash at full device bandwidth with
 // near-zero host CPU.
+//
+// The modelled hardware is a Morris-Pratt engine scanning at line
+// rate, so a page scan costs no virtual time. The simulator's own
+// per-page scan (Pattern.AppendPageMatches, and the junction stitch
+// of distributed scans) finds the same matches with bytes.Index,
+// which runs at memchr speed on the host. Scanner is the streaming MP
+// engine itself: SearchISP and SearchSoftware feed it across page
+// boundaries, tests use FindAll as the independent oracle, and the
+// failure table's size is the setup DMA the host pays.
 package search
 
 import (

@@ -307,7 +307,7 @@ func TestEdgeBytesAndJunctions(t *testing.T) {
 	_, tail := pat.EdgeBytes(left)
 	head, _ := pat.EdgeBytes(right)
 	const boundary = int64(9)
-	got := pat.JunctionMatches(tail, head, boundary)
+	got := pat.AppendJunctionMatches(nil, tail, head, boundary)
 	if len(got) != 1 || got[0] != 6 {
 		t.Fatalf("junction matches = %v, want [6]", got)
 	}
@@ -315,7 +315,7 @@ func TestEdgeBytesAndJunctions(t *testing.T) {
 	// junction pass (the page's engine already found it).
 	leftFull := []byte("xabcdexxx")
 	_, tail2 := pat.EdgeBytes(leftFull)
-	if got := pat.JunctionMatches(tail2, head, boundary); len(got) != 0 {
+	if got := pat.AppendJunctionMatches(nil, tail2, head, boundary); len(got) != 0 {
 		t.Fatalf("junction reported in-page match: %v", got)
 	}
 	// A match starting exactly at the boundary belongs to the right
@@ -324,7 +324,7 @@ func TestEdgeBytesAndJunctions(t *testing.T) {
 	head3, _ := pat.EdgeBytes(rightFull)
 	empty := []byte("xxxxxxxxx")
 	_, tail3 := pat.EdgeBytes(empty)
-	if got := pat.JunctionMatches(tail3, head3, boundary); len(got) != 0 {
+	if got := pat.AppendJunctionMatches(nil, tail3, head3, boundary); len(got) != 0 {
 		t.Fatalf("junction reported right-page match: %v", got)
 	}
 }
@@ -342,7 +342,7 @@ func TestJunctionSingleByteNeedle(t *testing.T) {
 	if h != nil || tl != nil {
 		t.Fatal("1-byte needle produced residues")
 	}
-	if got := pat.JunctionMatches([]byte("q"), []byte("q"), 10); got != nil {
+	if got := pat.AppendJunctionMatches(nil, []byte("q"), []byte("q"), 10); got != nil {
 		t.Fatalf("1-byte junction matches = %v", got)
 	}
 }

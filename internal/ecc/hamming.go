@@ -81,26 +81,37 @@ func buildEncTab() [8][256]byte {
 	return tab
 }
 
+// checkTab maps the XOR of a word's eight encTab entries (syndrome in
+// bits 0..6, data parity in bit 7) to its check byte: the check bits at
+// power-of-two positions are exactly the syndrome bits, and each set
+// check bit also contributes to the overall parity.
+var checkTab = buildCheckTab()
+
+func buildCheckTab() [256]byte {
+	var tab [256]byte
+	for t := range tab {
+		syndrome := byte(t) & 0x7f
+		parity := byte(t>>7) ^ byte(bits.OnesCount8(syndrome)&1)
+		tab[t] = syndrome | parity<<7
+	}
+	return tab
+}
+
 // Encode computes the 8 check bits for a 64-bit data word. The returned
 // byte has the 7 Hamming syndrome bits in bits 0..6 and the overall
-// parity in bit 7.
+// parity in bit 7. It is table lookups only, so the compiler inlines
+// it into the per-word page loops.
 //
 //simlint:hotpath
 func Encode(data uint64) byte {
-	t := encTab[0][byte(data)] ^
-		encTab[1][byte(data>>8)] ^
-		encTab[2][byte(data>>16)] ^
-		encTab[3][byte(data>>24)] ^
-		encTab[4][byte(data>>32)] ^
-		encTab[5][byte(data>>40)] ^
-		encTab[6][byte(data>>48)] ^
-		encTab[7][byte(data>>56)]
-	syndrome := t & 0x7f
-	// Bit 7 of t is the data parity; the check bits at power-of-two
-	// positions are exactly the syndrome bits, and each set check bit
-	// also contributes to the overall parity.
-	parity := (t >> 7) ^ byte(bits.OnesCount8(syndrome)&1)
-	return syndrome | parity<<7
+	return checkTab[encTab[0][byte(data)]^
+		encTab[1][byte(data>>8)]^
+		encTab[2][byte(data>>16)]^
+		encTab[3][byte(data>>24)]^
+		encTab[4][byte(data>>32)]^
+		encTab[5][byte(data>>40)]^
+		encTab[6][byte(data>>48)]^
+		encTab[7][byte(data>>56)]]
 }
 
 // Decode checks a received (data, check) pair, correcting a single

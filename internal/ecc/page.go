@@ -52,35 +52,12 @@ type DecodeResult struct {
 	Corrected int    // number of single-bit corrections applied
 }
 
-// DecodePage verifies and corrects a raw stored image. It returns
-// ErrUncorrectable (wrapped, with the word offset) if any word has a
-// double-bit error.
-func (c *PageCodec) DecodePage(raw []byte) (DecodeResult, error) {
-	if len(raw) != c.StoredSize() {
-		return DecodeResult{}, fmt.Errorf("ecc: decode: raw is %d bytes, want %d", len(raw), c.StoredSize())
-	}
-	data := make([]byte, c.pageSize)
-	copy(data, raw[:c.pageSize])
-	oob := raw[c.pageSize:]
-	fixed := 0
-	for i := 0; i < c.pageSize; i += 8 {
-		w := binary.LittleEndian.Uint64(data[i:])
-		cw, n, err := Decode(w, oob[i/8])
-		if err != nil {
-			return DecodeResult{}, fmt.Errorf("word at byte %d: %w", i, err)
-		}
-		if n > 0 && cw != w {
-			binary.LittleEndian.PutUint64(data[i:], cw)
-		}
-		fixed += n
-	}
-	return DecodeResult{Data: data, Corrected: fixed}, nil
-}
-
 // DecodePageInPlace verifies and corrects a raw stored image, writing
 // corrections directly into raw's data region and returning it as a
 // sub-slice. The caller must own raw (the flash read path hands each
-// caller a private copy). Semantics otherwise match DecodePage.
+// caller a private copy; callers that need raw intact decode a copy).
+// It returns ErrUncorrectable (wrapped, with the word's byte offset)
+// if any word has a double-bit error.
 //
 //simlint:hotpath
 func (c *PageCodec) DecodePageInPlace(raw []byte) (DecodeResult, error) {
@@ -93,12 +70,18 @@ func (c *PageCodec) DecodePageInPlace(raw []byte) (DecodeResult, error) {
 	fixed := 0
 	for i := 0; i < c.pageSize; i += 8 {
 		w := binary.LittleEndian.Uint64(data[i:])
+		// A stored check byte equal to the recomputed one means syndrome
+		// 0 and even total parity: the word is clean, so Decode is only
+		// needed on a mismatch.
+		if Encode(w) == oob[i/8] {
+			continue
+		}
 		cw, n, err := Decode(w, oob[i/8])
 		if err != nil {
 			//simlint:allow hotpath (uncorrectable-read error path, off the steady-state path)
 			return DecodeResult{}, fmt.Errorf("word at byte %d: %w", i, err)
 		}
-		if n > 0 && cw != w {
+		if cw != w {
 			binary.LittleEndian.PutUint64(data[i:], cw)
 		}
 		fixed += n

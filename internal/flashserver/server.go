@@ -76,7 +76,9 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 				return
 			}
 			if op.buf == nil {
-				op.buf = make([]byte, 0, offset+len(chunk))
+				// One buffer for the whole page: growing it burst by
+				// burst would reallocate and copy it on every burst.
+				op.buf = make([]byte, 0, max(offset+len(chunk), sp.ctl.PageSize()))
 			}
 			op.buf = append(op.buf, chunk...)
 		},

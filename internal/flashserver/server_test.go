@@ -20,13 +20,19 @@ func testGeometry() nand.Geometry {
 // stack builds engine -> card -> controller -> splitter.
 func stack(t *testing.T) (*sim.Engine, *nand.Card, *Splitter) {
 	t.Helper()
+	return stackWith(t, flashctl.DefaultConfig())
+}
+
+// stackWith is stack with a caller-chosen controller config.
+func stackWith(t *testing.T, cfg flashctl.Config) (*sim.Engine, *nand.Card, *Splitter) {
+	t.Helper()
 	eng := sim.NewEngine()
 	card, err := nand.NewCard(eng, "c0", testGeometry(), nand.DefaultTiming(), nand.Reliability{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sp *Splitter
-	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
+	ctl, err := flashctl.New(eng, card, cfg, flashctl.Handlers{
 		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
 		ReadDone:     func(tag, corrected int, err error) { sp.Handlers().ReadDone(tag, corrected, err) },
 		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
@@ -398,5 +404,42 @@ func TestClosedPortRejects(t *testing.T) {
 	}
 	if err := p.WriteData(0, nil); !errors.Is(err, ErrPortClosed) {
 		t.Fatalf("write data on closed port: %v", err)
+	}
+}
+
+// TestReadAssemblyOddBursts reads pages back through the server with
+// bursts that do not divide the page and with bursts larger than the
+// page: the reassembled page must be byte-exact either way.
+func TestReadAssemblyOddBursts(t *testing.T) {
+	for _, burst := range []int{3000, 8191, 8192, 20000} {
+		cfg := flashctl.DefaultConfig()
+		cfg.BurstBytes = burst
+		eng, _, sp := stackWith(t, cfg)
+		iface := NewServer(sp, "srv", 4).NewIface("if0")
+		want := make([][]byte, 4)
+		for p := range want {
+			want[p] = pattern(8192, byte(31*p+burst))
+			iface.WritePhysical(nand.Addr{Bus: p % 2, Page: p / 2}, want[p], func(err error) {
+				if err != nil {
+					t.Fatalf("burst %d: write %d: %v", burst, p, err)
+				}
+			})
+		}
+		eng.Run()
+		got := make([][]byte, len(want))
+		for p := range want {
+			iface.ReadPhysical(nand.Addr{Bus: p % 2, Page: p / 2}, func(data []byte, err error) {
+				if err != nil {
+					t.Fatalf("burst %d: read %d: %v", burst, p, err)
+				}
+				got[p] = data
+			})
+		}
+		eng.Run()
+		for p := range want {
+			if !bytes.Equal(got[p], want[p]) {
+				t.Fatalf("burst %d: page %d came back %d bytes, not the %d written", burst, p, len(got[p]), len(want[p]))
+			}
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package ispvol
 
 // Distributed string search (paper §7.3 ported to the cluster): each
-// engine scans its pages with Morris-Pratt at line rate, and only
-// match offsets plus tiny page-edge residues return to the origin,
-// which stitches the page junctions no single engine could see
-// (adjacent pages of a striped volume or file live on different
+// engine scans its pages with Morris-Pratt at line rate (simulated by
+// search.Pattern.AppendPageMatches, which finds the same matches), and
+// only match offsets plus tiny page-edge residues return to the
+// origin, which stitches the page junctions no single engine could
+// see (adjacent pages of a striped volume or file live on different
 // nodes).
 
 import (
@@ -97,14 +98,13 @@ func (k *searchKernel) pageCost(ps int) sim.Time {
 }
 
 func (k *searchKernel) newPartial() partial {
-	return &searchPartial{k: k, sc: k.pat.NewScanner()}
+	return &searchPartial{k: k}
 }
 
 // searchPartial holds in-page matches and the edge residues of every
 // folded page.
 type searchPartial struct {
 	k       *searchKernel
-	sc      *search.Scanner
 	matches []int64
 	edges   []edge
 }
@@ -117,13 +117,10 @@ type edge struct {
 }
 
 func (p *searchPartial) fold(qidx int, data []byte) bool {
-	// Per-page scan with fresh state: a partial's pages are not
-	// adjacent in query order, so only matches fully inside a page are
-	// found here; straddlers are the origin's junction pass.
-	p.sc.Reset(int64(qidx) * int64(p.k.ps))
-	p.sc.Feed(data, func(pos int64) {
-		p.matches = append(p.matches, pos)
-	})
+	// Per-page scan: a partial's pages are not adjacent in query
+	// order, so only matches fully inside a page are found here;
+	// straddlers are the origin's junction pass.
+	p.matches = p.k.pat.AppendPageMatches(p.matches, data, int64(qidx)*int64(p.k.ps))
 	h, t := p.k.pat.EdgeBytes(data)
 	buf := append(append(make([]byte, 0, len(h)+len(t)), h...), t...)
 	p.edges = append(p.edges, edge{qidx: qidx, head: buf[:len(h)], tail: buf[len(h):]})
@@ -150,8 +147,7 @@ func (k *searchKernel) merge(pp partial) {
 // and sorts the matches; the match list is the result DMA.
 func (k *searchKernel) result(t tally) (*SearchResult, int) {
 	for b := 1; b < t.pages; b++ {
-		k.matches = append(k.matches,
-			k.pat.JunctionMatches(k.tails[b-1], k.heads[b], int64(b)*int64(k.ps))...)
+		k.matches = k.pat.AppendJunctionMatches(k.matches, k.tails[b-1], k.heads[b], int64(b)*int64(k.ps))
 	}
 	sort.Slice(k.matches, func(i, j int) bool { return k.matches[i] < k.matches[j] })
 	return &SearchResult{
