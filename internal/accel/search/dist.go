@@ -4,8 +4,8 @@ package search
 // logical pages on different cards — usually different NODES — so the
 // per-node engines of a distributed search each see a non-contiguous
 // subset of the haystack. Every engine scans its pages independently
-// (scanner state reset per page, which finds exactly the matches fully
-// inside a page), and ships the page-boundary residues — the first and
+// (a fresh scan per page, which finds exactly the matches fully inside
+// a page), and ships the page-boundary residues — the first and
 // last len(needle)-1 bytes of each page — to the origin alongside its
 // match offsets. The origin then stitches each page junction from the
 // two residues and scans it for the straddling matches no single
