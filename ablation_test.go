@@ -153,7 +153,7 @@ func ftlWA(b *testing.B, overProvision float64) float64 {
 	var sp *flashserver.Splitter
 	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
 		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-		ReadDone:     func(tag, c int, err error) { sp.Handlers().ReadDone(tag, c, err) },
+		ReadDone:     func(tag int, page []byte, c int, err error) { sp.Handlers().ReadDone(tag, page, c, err) },
 		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
 		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
 		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },
@@ -215,7 +215,7 @@ func buildStack(b *testing.B, geo nand.Geometry) (*sim.Engine, *flashserver.Serv
 	var sp *flashserver.Splitter
 	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
 		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-		ReadDone:     func(tag, c int, err error) { sp.Handlers().ReadDone(tag, c, err) },
+		ReadDone:     func(tag int, page []byte, c int, err error) { sp.Handlers().ReadDone(tag, page, c, err) },
 		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
 		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
 		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },

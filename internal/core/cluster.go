@@ -88,7 +88,7 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 		var sp *flashserver.Splitter
 		ctl, err := flashctl.New(c.Eng, cd, p.Controller, flashctl.Handlers{
 			ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-			ReadDone:     func(tag, corr int, err error) { sp.Handlers().ReadDone(tag, corr, err) },
+			ReadDone:     func(tag int, page []byte, corr int, err error) { sp.Handlers().ReadDone(tag, page, corr, err) },
 			WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
 			WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
 			EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },

@@ -54,64 +54,40 @@ func buildPosData() [72]int {
 	return out
 }
 
-// encTab[j][b] is the contribution of byte j of the data word holding
-// value b: the XOR of dataPos for its set bits in bits 0..6 (syndrome
-// positions are < 128) and the byte's parity in bit 7. XORing the
-// eight entries therefore yields the whole word's Hamming syndrome
-// and data parity in one pass — the encoder runs per flash page word
-// on every program AND every read (Decode recomputes it), so this
-// table is the single hottest path in the simulator.
-var encTab = buildEncTab()
+// lin16[j][v] is Encode of the word whose 16-bit lane j holds v and
+// whose other lanes are zero. The check byte is GF(2)-linear in the
+// data word — the syndrome is the XOR of dataPos over the set bits,
+// and the overall parity is the data parity XOR the syndrome parity —
+// so Encode(a^b) == Encode(a)^Encode(b), and a word's check byte is
+// the XOR of its four lane entries. The table is a package-level
+// array, so it lives in static data rather than on the heap.
+var lin16 [4][65536]byte
 
-func buildEncTab() [8][256]byte {
-	var tab [8][256]byte
-	for j := 0; j < 8; j++ {
-		for b := 0; b < 256; b++ {
-			syndrome := 0
-			parity := 0
-			for k := 0; k < 8; k++ {
-				if b>>uint(k)&1 == 1 {
-					syndrome ^= dataPos[8*j+k]
-					parity ^= 1
-				}
-			}
-			tab[j][b] = byte(syndrome) | byte(parity)<<7
+func init() {
+	for j := range lin16 {
+		for v := 1; v < 65536; v++ {
+			// Peel off the lowest set bit: the rest of v has an entry
+			// already, and the bit alone is one data position.
+			low := bits.TrailingZeros16(uint16(v))
+			p := dataPos[16*j+low]
+			bit := byte(p) | byte(1^bits.OnesCount8(uint8(p))&1)<<7
+			lin16[j][v] = lin16[j][v&(v-1)] ^ bit
 		}
 	}
-	return tab
-}
-
-// checkTab maps the XOR of a word's eight encTab entries (syndrome in
-// bits 0..6, data parity in bit 7) to its check byte: the check bits at
-// power-of-two positions are exactly the syndrome bits, and each set
-// check bit also contributes to the overall parity.
-var checkTab = buildCheckTab()
-
-func buildCheckTab() [256]byte {
-	var tab [256]byte
-	for t := range tab {
-		syndrome := byte(t) & 0x7f
-		parity := byte(t>>7) ^ byte(bits.OnesCount8(syndrome)&1)
-		tab[t] = syndrome | parity<<7
-	}
-	return tab
 }
 
 // Encode computes the 8 check bits for a 64-bit data word. The returned
 // byte has the 7 Hamming syndrome bits in bits 0..6 and the overall
-// parity in bit 7. It is table lookups only, so the compiler inlines
-// it into the per-word page loops.
+// parity in bit 7. It is four table lookups, so the compiler inlines
+// it into the per-word page loops, where it runs on every word of
+// every flash program and read.
 //
 //simlint:hotpath
 func Encode(data uint64) byte {
-	return checkTab[encTab[0][byte(data)]^
-		encTab[1][byte(data>>8)]^
-		encTab[2][byte(data>>16)]^
-		encTab[3][byte(data>>24)]^
-		encTab[4][byte(data>>32)]^
-		encTab[5][byte(data>>40)]^
-		encTab[6][byte(data>>48)]^
-		encTab[7][byte(data>>56)]]
+	return lin16[0][uint16(data)] ^
+		lin16[1][uint16(data>>16)] ^
+		lin16[2][uint16(data>>32)] ^
+		lin16[3][uint16(data>>48)]
 }
 
 // Decode checks a received (data, check) pair, correcting a single

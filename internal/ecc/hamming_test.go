@@ -258,3 +258,25 @@ func BenchmarkDecodePage8K(b *testing.B) {
 		decode()
 	}
 }
+
+// BenchmarkEncodePage8K times the program-path encode of an 8 KB page.
+// It is pinned at one allocation: the returned stored image.
+func BenchmarkEncodePage8K(b *testing.B) {
+	c, _ := NewPageCodec(8192)
+	data := make([]byte, 8192)
+	sim.NewRNG(1).Bytes(data)
+	encode := func() {
+		if _, err := c.EncodePage(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, encode); n != 1 {
+		b.Fatalf("page encode allocates %.1f objects, want 1", n)
+	}
+	b.SetBytes(8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode()
+	}
+}

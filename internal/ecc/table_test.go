@@ -5,18 +5,23 @@ import (
 	"testing"
 )
 
-// encodeReference is the original bit-at-a-time encoder. The
-// table-driven Encode must agree with it on every input: the tables
-// are a pure speed optimization and any divergence silently changes
-// what every simulated flash page stores.
+// encodeReference is a bit-at-a-time SEC-DED encoder that derives the
+// Hamming layout itself: data bits fill positions 1..71 that are not
+// powers of two, in order. The table-driven Encode must agree with it
+// on every input: the table is a pure speed optimization and any
+// divergence silently changes what every simulated flash page stores.
 func encodeReference(data uint64) byte {
-	var syndrome int
-	parity := 0
-	for i := 0; i < 64; i++ {
+	syndrome, parity := 0, 0
+	i := 0
+	for p := 1; p <= 71; p++ {
+		if p&(p-1) == 0 {
+			continue
+		}
 		if data>>uint(i)&1 == 1 {
-			syndrome ^= dataPos[i]
+			syndrome ^= p
 			parity ^= 1
 		}
+		i++
 	}
 	for b := 0; b < 7; b++ {
 		if syndrome>>uint(b)&1 == 1 {
@@ -26,19 +31,44 @@ func encodeReference(data uint64) byte {
 	return byte(syndrome) | byte(parity)<<7
 }
 
+// TestEncodeMatchesReference checks Encode on every value of each
+// 16-bit lane (other lanes zero), on structured corners and on a
+// million seeded random words.
 func TestEncodeMatchesReference(t *testing.T) {
-	// Structured corners: single bits, runs, all-ones, zero.
-	words := []uint64{0, ^uint64(0)}
-	for i := 0; i < 64; i++ {
-		words = append(words, 1<<uint(i), ^uint64(0)>>uint(i), ^uint64(0)<<uint(i))
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		words = append(words, rng.Uint64())
-	}
-	for _, w := range words {
+	check := func(w uint64) {
+		t.Helper()
 		if got, want := Encode(w), encodeReference(w); got != want {
 			t.Fatalf("Encode(%#x) = %#x, reference = %#x", w, got, want)
+		}
+	}
+	for lane := 0; lane < 4; lane++ {
+		for v := uint64(0); v < 1<<16; v++ {
+			check(v << uint(16*lane))
+		}
+	}
+	check(^uint64(0))
+	for i := 0; i < 64; i++ {
+		check(1 << uint(i))
+		check(^uint64(0) >> uint(i))
+		check(^uint64(0) << uint(i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(rng.Uint64())
+	}
+}
+
+// TestEncodeLinear checks the property the lane table rests on: the
+// check byte is GF(2)-linear in the data word.
+func TestEncodeLinear(t *testing.T) {
+	if Encode(0) != 0 {
+		t.Fatalf("Encode(0) = %#x, want 0", Encode(0))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100_000; i++ {
+		a, b := rng.Uint64(), rng.Uint64()
+		if got, want := Encode(a^b), Encode(a)^Encode(b); got != want {
+			t.Fatalf("Encode(%#x ^ %#x) = %#x, Encode(a)^Encode(b) = %#x", a, b, got, want)
 		}
 	}
 }

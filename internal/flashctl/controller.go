@@ -73,9 +73,14 @@ type Handlers struct {
 	// ReadChunk delivers one burst of read data. Bursts belonging to
 	// different tags may interleave; bursts of one tag arrive in order.
 	ReadChunk func(tag int, offset int, chunk []byte, last bool)
-	// ReadDone fires after the final burst (or on error, with no data).
-	// corrected is the number of ECC-corrected bit flips in the page.
-	ReadDone func(tag int, corrected int, err error)
+	// ReadDone fires after the final burst (or on error, with a nil
+	// page). page is the whole decoded page and corrected is the number
+	// of ECC-corrected bit flips in it. Ownership: page is the read's
+	// private copy, shared with no other read and not with the card, so
+	// the handler owns it and may keep or modify it; its capacity ends
+	// at the page, so appending to it never reaches the OOB bytes. The
+	// ReadChunk bursts of the read are sub-slices of the same page.
+	ReadDone func(tag int, page []byte, corrected int, err error)
 	// WriteDataReq tells the user the controller is ready to accept the
 	// page data for a previously issued write command.
 	WriteDataReq func(tag int)
@@ -243,8 +248,10 @@ func (c *Controller) WriteData(tag int, data []byte) error {
 	addr := c.addrs[tag]
 	// Encoding is pure, so it runs now — EncodePage's output buffer
 	// doubles as the snapshot of data, replacing a separate defensive
-	// copy. Data crosses the serial link in 128-bit bursts (modelled as
-	// one serialized transfer), then is programmed.
+	// copy, and nothing else holds it, so it is handed to ProgramPage,
+	// which keeps it as the stored image. Data crosses the serial link
+	// in 128-bit bursts (modelled as one serialized transfer), then is
+	// programmed.
 	raw, encErr := c.codec.EncodePage(data)
 	c.fromUser.Transfer(len(data), func() {
 		if encErr != nil {
@@ -268,7 +275,7 @@ func (c *Controller) finishWrite(tag int, err error) {
 func (c *Controller) startRead(tag int, addr nand.Addr) {
 	c.card.ReadPage(addr, func(raw []byte, err error) {
 		if err != nil {
-			c.finishRead(tag, 0, err)
+			c.finishRead(tag, nil, 0, err)
 			return
 		}
 		// The card hands each read its own copy of the stored page, so
@@ -276,11 +283,12 @@ func (c *Controller) startRead(tag int, addr nand.Addr) {
 		res, err := c.codec.DecodePageInPlace(raw)
 		if err != nil {
 			c.Uncorrectable.Inc()
-			c.finishRead(tag, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, addr, err))
+			c.finishRead(tag, nil, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, addr, err))
 			return
 		}
 		c.CorrectedBits.Add(int64(res.Corrected))
-		c.streamBursts(tag, res.Data, 0, res.Corrected)
+		page := res.Data[:len(res.Data):len(res.Data)]
+		c.streamBursts(tag, page, 0, res.Corrected)
 	})
 }
 
@@ -300,16 +308,16 @@ func (c *Controller) streamBursts(tag int, data []byte, offset, corrected int) {
 			c.h.ReadChunk(tag, offset, chunk, last)
 		}
 		if last {
-			c.finishRead(tag, corrected, nil)
+			c.finishRead(tag, data, corrected, nil)
 			return
 		}
 		c.streamBursts(tag, data, end, corrected)
 	})
 }
 
-func (c *Controller) finishRead(tag, corrected int, err error) {
+func (c *Controller) finishRead(tag int, page []byte, corrected int, err error) {
 	c.tags[tag] = tagIdle
 	if c.h.ReadDone != nil {
-		c.h.ReadDone(tag, corrected, err)
+		c.h.ReadDone(tag, page, corrected, err)
 	}
 }

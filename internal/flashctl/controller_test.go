@@ -23,6 +23,7 @@ type rig struct {
 	ctl  *Controller
 
 	chunks     map[int][]byte // reassembled read data per tag
+	pages      map[int][]byte // page handed over by ReadDone per tag
 	readDone   map[int]error
 	corrected  map[int]int
 	writeReqs  []int
@@ -41,6 +42,7 @@ func newRig(t *testing.T, rel nand.Reliability) *rig {
 	r := &rig{
 		eng: eng, card: card,
 		chunks:    make(map[int][]byte),
+		pages:     make(map[int][]byte),
 		readDone:  make(map[int]error),
 		corrected: make(map[int]int),
 		writeDone: make(map[int]error),
@@ -54,7 +56,11 @@ func newRig(t *testing.T, rel nand.Reliability) *rig {
 			r.chunks[tag] = append(r.chunks[tag], chunk...)
 			r.chunkOrder = append(r.chunkOrder, tag)
 		},
-		ReadDone:     func(tag, corrected int, err error) { r.readDone[tag] = err; r.corrected[tag] = corrected },
+		ReadDone: func(tag int, page []byte, corrected int, err error) {
+			r.readDone[tag] = err
+			r.pages[tag] = page
+			r.corrected[tag] = corrected
+		},
 		WriteDataReq: func(tag int) { r.writeReqs = append(r.writeReqs, tag) },
 		WriteDone:    func(tag int, err error) { r.writeDone[tag] = err },
 		EraseDone:    func(tag int, err error) { r.eraseDone[tag] = err },
@@ -116,6 +122,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(r.chunks[9], data) {
 		t.Fatal("read data mismatch")
 	}
+	// ReadDone hands over the whole page, capped at the page so that
+	// appending to it never reaches the OOB bytes behind it.
+	if page := r.pages[9]; !bytes.Equal(page, data) || cap(page) != len(data) {
+		t.Fatalf("ReadDone page: %d bytes, cap %d, equal %v; want the %d-byte page, capped",
+			len(page), cap(page), bytes.Equal(page, data), len(data))
+	}
 	if r.corrected[9] != 0 {
 		t.Fatalf("corrected = %d on a clean card", r.corrected[9])
 	}
@@ -139,7 +151,7 @@ func TestECCCorrectsInjectedErrors(t *testing.T) {
 		if err := r.readDone[tag]; err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		if !bytes.Equal(r.chunks[tag], data) {
+		if !bytes.Equal(r.chunks[tag], data) || !bytes.Equal(r.pages[tag], data) {
 			t.Fatalf("read %d: ECC failed to restore data", i)
 		}
 		totalCorrected += r.corrected[tag]

@@ -24,7 +24,7 @@ func TestUncorrectableErrorSurfaced(t *testing.T) {
 	results := make(map[int]error)
 	var ctl *Controller
 	ctl, err = New(eng, card, DefaultConfig(), Handlers{
-		ReadDone:     func(tag, corrected int, err error) { results[tag] = err },
+		ReadDone:     func(tag int, _ []byte, corrected int, err error) { results[tag] = err },
 		WriteDataReq: func(tag int) { ctl.WriteData(tag, make([]byte, 8192)) },
 	})
 	if err != nil {

@@ -30,8 +30,8 @@ type Server struct {
 	ifaces []*Iface
 }
 
-// pageOp reassembles the bursts of one read and carries completion
-// plumbing for any op kind.
+// pageOp carries completion plumbing for any op kind, and a read's
+// page until the interface delivers it in order.
 type pageOp struct {
 	iface *Iface
 	seq   uint64
@@ -70,19 +70,12 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 		pendingWrites: make(map[int][]byte),
 	}
 	srv.port = sp.NewPort(name, flashctl.Handlers{
-		ReadChunk: func(tag, offset int, chunk []byte, last bool) {
-			op := srv.inflight[tag]
-			if op == nil {
-				return
+		// The page is this read's own copy (see flashctl.Handlers), so
+		// it is delivered as is instead of reassembled from the bursts.
+		ReadDone: func(tag int, page []byte, corrected int, err error) {
+			if op := srv.inflight[tag]; op != nil {
+				op.buf = page
 			}
-			if op.buf == nil {
-				// One buffer for the whole page: growing it burst by
-				// burst would reallocate and copy it on every burst.
-				op.buf = make([]byte, 0, max(offset+len(chunk), sp.ctl.PageSize()))
-			}
-			op.buf = append(op.buf, chunk...)
-		},
-		ReadDone: func(tag, corrected int, err error) {
 			srv.finish(tag, err)
 		},
 		WriteDataReq: func(tag int) {
@@ -233,6 +226,10 @@ func (f *Iface) withCredit(fn func()) {
 func (f *Iface) releaseCredit() {
 	if len(f.pendingQ) > 0 {
 		fn := f.pendingQ[0]
+		// Clear the slot before reslicing: the backing array would
+		// otherwise keep the consumed closure, and with it a queued
+		// write's page snapshot, reachable until append reallocates.
+		f.pendingQ[0] = nil
 		f.pendingQ = f.pendingQ[1:]
 		fn()
 		return

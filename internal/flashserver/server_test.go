@@ -33,8 +33,10 @@ func stackWith(t *testing.T, cfg flashctl.Config) (*sim.Engine, *nand.Card, *Spl
 	}
 	var sp *Splitter
 	ctl, err := flashctl.New(eng, card, cfg, flashctl.Handlers{
-		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-		ReadDone:     func(tag, corrected int, err error) { sp.Handlers().ReadDone(tag, corrected, err) },
+		ReadChunk: func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
+		ReadDone: func(tag int, page []byte, corrected int, err error) {
+			sp.Handlers().ReadDone(tag, page, corrected, err)
+		},
 		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
 		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
 		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },
@@ -440,6 +442,47 @@ func TestReadAssemblyOddBursts(t *testing.T) {
 			if !bytes.Equal(got[p], want[p]) {
 				t.Fatalf("burst %d: page %d came back %d bytes, not the %d written", burst, p, len(got[p]), len(want[p]))
 			}
+		}
+	}
+}
+
+// TestWritePhysicalSnapshotsCaller pins the write side of the page
+// ownership contract: the caller may reuse its buffer as soon as
+// WritePhysical returns, even for writes that wait for a queue-depth
+// credit, and what gets programmed is what the caller passed.
+func TestWritePhysicalSnapshotsCaller(t *testing.T) {
+	eng, card, sp := stack(t)
+	iface := NewServer(sp, "srv", 1).NewIface("if0")
+	buf := make([]byte, 8192)
+	want := make([][]byte, 4)
+	for p := range want {
+		want[p] = pattern(8192, byte(17*p+5))
+		copy(buf, want[p])
+		iface.WritePhysical(nand.Addr{Bus: p % 2, Page: p / 2}, buf, func(err error) {
+			if err != nil {
+				t.Fatalf("write %d: %v", p, err)
+			}
+		})
+		for i := range buf {
+			buf[i] = 0xee
+		}
+	}
+	// Depth 1: three of the four writes wait for a credit. Keep the
+	// queue's backing array to check that served slots are cleared.
+	queued := iface.pendingQ
+	if len(queued) != 3 {
+		t.Fatalf("%d writes queued for credit, want 3", len(queued))
+	}
+	eng.Run()
+	for p := range want {
+		got := card.Peek(nand.Addr{Bus: p % 2, Page: p / 2})
+		if !bytes.Equal(got[:8192], want[p]) {
+			t.Fatalf("page %d: programmed data is not what the caller passed", p)
+		}
+	}
+	for i, fn := range queued {
+		if fn != nil {
+			t.Fatalf("served credit-queue slot %d still holds its closure (and the write's page)", i)
 		}
 	}
 }

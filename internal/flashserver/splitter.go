@@ -85,10 +85,10 @@ func (sp *Splitter) buildHandlers() flashctl.Handlers {
 				b.port.h.ReadChunk(b.agentTag, offset, chunk, last)
 			}
 		},
-		ReadDone: func(tag, corrected int, err error) {
+		ReadDone: func(tag int, page []byte, corrected int, err error) {
 			b := sp.release(tag)
 			if b.port != nil && b.port.h.ReadDone != nil {
-				b.port.h.ReadDone(b.agentTag, corrected, err)
+				b.port.h.ReadDone(b.agentTag, page, corrected, err)
 			}
 		},
 		WriteDataReq: func(tag int) {

@@ -30,7 +30,7 @@ func newHarness(t *testing.T, geo nand.Geometry, rel nand.Reliability, cfg Confi
 	var sp *flashserver.Splitter
 	ctl, err := flashctl.New(eng, card, flashctl.DefaultConfig(), flashctl.Handlers{
 		ReadChunk:    func(tag, off int, chunk []byte, last bool) { sp.Handlers().ReadChunk(tag, off, chunk, last) },
-		ReadDone:     func(tag, c int, err error) { sp.Handlers().ReadDone(tag, c, err) },
+		ReadDone:     func(tag int, page []byte, c int, err error) { sp.Handlers().ReadDone(tag, page, c, err) },
 		WriteDataReq: func(tag int) { sp.Handlers().WriteDataReq(tag) },
 		WriteDone:    func(tag int, err error) { sp.Handlers().WriteDone(tag, err) },
 		EraseDone:    func(tag int, err error) { sp.Handlers().EraseDone(tag, err) },

@@ -182,13 +182,14 @@ func TestFailAndReplace(t *testing.T) {
 	}
 	// And fully serviceable: program/read round-trips.
 	raw := mkRaw(c, 0x99)
+	want := bytes.Clone(raw) // the card keeps raw itself
 	c.ProgramPage(a, raw, func(err error) {
 		if err != nil {
 			t.Fatalf("program on replaced card: %v", err)
 		}
 	})
 	eng.Run()
-	if got := readRaw(t, eng, c, a); !bytes.Equal(got, raw) {
+	if got := readRaw(t, eng, c, a); !bytes.Equal(got, want) {
 		t.Fatal("replaced card returned wrong data")
 	}
 }

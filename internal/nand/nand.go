@@ -296,7 +296,8 @@ func (c *Card) runNext(cs *chipState) {
 // ReadPage reads the raw stored image (data+OOB) of a page. Timing:
 // cell read occupies the chip, then the image crosses the shared bus.
 // Bit errors are injected into the returned copy according to the
-// block's wear. The callback receives the raw image or an error.
+// block's wear. The callback receives the raw image or an error; the
+// image is a fresh copy the callback owns and may modify in place.
 func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(nil, err)
@@ -339,6 +340,11 @@ func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
 // crosses the bus, then programming occupies the chip. NAND rules are
 // enforced: the page must be erased and must be the next page in its
 // block.
+//
+// Ownership: the card keeps raw as the page's stored image instead of
+// copying it, so the caller hands raw over and must neither modify nor
+// reuse it after the call. Reads never expose it: ReadPage returns a
+// private copy.
 func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
@@ -371,12 +377,10 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 			cb(fmt.Errorf("%w: %v (next programmable is page %d)", ErrOutOfOrder, a, cs.nextPage[a.Block]))
 			return
 		}
-		stored := make([]byte, len(raw))
-		copy(stored, raw)
 		c.buses[a.Bus].pipe.Transfer(len(raw), func() {
 			c.eng.After(c.tim.Program, func() {
 				c.state[idx] = PageWritten
-				c.data[idx] = stored
+				c.data[idx] = raw
 				cs.nextPage[a.Block]++
 				c.Programs.Inc()
 				done()

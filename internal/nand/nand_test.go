@@ -38,6 +38,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	c := perfectCard(t, eng)
 	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 	raw := mkRaw(c, 0xab)
+	want := bytes.Clone(raw) // the card keeps raw itself
 	var progErr error = errors.New("not called")
 	c.ProgramPage(a, raw, func(err error) { progErr = err })
 	eng.Run()
@@ -52,7 +53,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 		got = r
 	})
 	eng.Run()
-	if !bytes.Equal(got, raw) {
+	if !bytes.Equal(got, want) {
 		t.Fatal("read returned different bytes than programmed")
 	}
 }
@@ -308,6 +309,7 @@ func TestBitErrorInjection(t *testing.T) {
 	}
 	a := Addr{0, 0, 0, 0}
 	raw := mkRaw(c, 0x55)
+	want := bytes.Clone(raw) // the card keeps raw itself
 	c.ProgramPage(a, raw, func(error) {})
 	eng.Run()
 	flipsSeen := 0
@@ -317,7 +319,7 @@ func TestBitErrorInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			for j := range got {
-				if got[j] != raw[j] {
+				if got[j] != want[j] {
 					flipsSeen++
 				}
 			}
@@ -328,7 +330,7 @@ func TestBitErrorInjection(t *testing.T) {
 		t.Fatal("no bit errors injected at rate 1e-3")
 	}
 	// The stored image must remain pristine (errors are read-path only).
-	if !bytes.Equal(c.Peek(a), raw) {
+	if !bytes.Equal(c.Peek(a), want) {
 		t.Fatal("stored image was corrupted")
 	}
 }
@@ -419,7 +421,7 @@ func TestProgramEraseOracleProperty(t *testing.T) {
 						ok = false
 					}
 				})
-				bm.data[page] = raw
+				bm.data[page] = bytes.Clone(raw) // the card keeps raw itself
 				bm.next++
 			} else { // erase
 				c.EraseBlock(Addr{0, 0, blk, 0}, func(err error) {
