@@ -121,3 +121,59 @@ func TestCreditWaiterRingAllocFree(t *testing.T) {
 		t.Fatalf("credit-saturated burst allocates %.1f objects, want 0", n)
 	}
 }
+
+// ringForward builds the paper's 20-node ring (four lanes between
+// neighbours) and returns a step that sends one 8 KB page from node 0
+// to node 10, ten hops away, and runs the engine until it is
+// delivered: 8 segments, each forwarded hop by hop.
+func ringForward(tb testing.TB) (step func(), delivered *int) {
+	tb.Helper()
+	eng := sim.NewEngine()
+	net, err := Ring(20, 4).Build(eng, DefaultConfig(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := net.Node(0).BindEndpoint(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dst, err := net.Node(10).BindEndpoint(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	delivered = new(int)
+	dst.OnReceive = func(NodeID, int, any) { *delivered++ }
+	step = func() {
+		if err := src.Send(10, 8192, nil, nil); err != nil {
+			tb.Fatal(err)
+		}
+		eng.Run()
+	}
+	return step, delivered
+}
+
+// Multi-hop forwarding — route lookup, forwarding credit, wire
+// transfer and arrival at every hop — allocates nothing once warm.
+func TestRingForwardAllocFree(t *testing.T) {
+	step, delivered := ringForward(t)
+	step()
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Fatalf("10-hop page forward allocates %.1f objects, want 0", n)
+	}
+	// One warm step, AllocsPerRun's own warm-up run, then 200 runs.
+	if *delivered != 202 {
+		t.Fatalf("delivered %d messages, want 202", *delivered)
+	}
+}
+
+// BenchmarkRingForward measures one 8 KB page across ten hops of the
+// 20-node ring: 80 segment hops per op.
+func BenchmarkRingForward(b *testing.B) {
+	step, _ := ringForward(b)
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

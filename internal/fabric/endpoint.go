@@ -51,11 +51,14 @@ type blockedMsg struct {
 	onAccepted func()
 }
 
-// BindEndpoint creates (or returns an error for a duplicate) logical
-// endpoint idx on this node.
+// BindEndpoint creates logical endpoint idx on this node. A negative
+// or already bound idx fails with ErrBadEndpoint.
 func (nd *Node) BindEndpoint(idx int) (*Endpoint, error) {
-	if _, dup := nd.endpoints[idx]; dup {
-		return nil, fmt.Errorf("%w: %d on node %d", ErrBadEndpoint, idx, nd.id)
+	if idx < 0 {
+		return nil, fmt.Errorf("%w: %d is negative", ErrBadEndpoint, idx)
+	}
+	if nd.Endpoint(idx) != nil {
+		return nil, fmt.Errorf("%w: %d already bound on node %d", ErrBadEndpoint, idx, nd.id)
 	}
 	n := len(nd.net.nodes)
 	ep := &Endpoint{
@@ -65,12 +68,22 @@ func (nd *Node) BindEndpoint(idx int) (*Endpoint, error) {
 		blocked: make([][]blockedMsg, n),
 		partial: make([]int, n),
 	}
+	if idx >= len(nd.endpoints) {
+		nd.endpoints = append(nd.endpoints, make([]*Endpoint, idx+1-len(nd.endpoints))...)
+	}
 	nd.endpoints[idx] = ep
 	return ep, nil
 }
 
 // Endpoint returns the bound endpoint idx, or nil.
-func (nd *Node) Endpoint(idx int) *Endpoint { return nd.endpoints[idx] }
+//
+//simlint:hotpath
+func (nd *Node) Endpoint(idx int) *Endpoint {
+	if uint(idx) >= uint(len(nd.endpoints)) {
+		return nil
+	}
+	return nd.endpoints[idx]
+}
 
 // Index returns the endpoint's cluster-wide index.
 func (ep *Endpoint) Index() int { return ep.index }

@@ -30,7 +30,7 @@ import (
 var (
 	ErrNoRoute      = errors.New("fabric: no route to destination")
 	ErrPortsFull    = errors.New("fabric: node has no free ports")
-	ErrBadEndpoint  = errors.New("fabric: endpoint index already in use")
+	ErrBadEndpoint  = errors.New("fabric: bad endpoint index")
 	ErrNotConnected = errors.New("fabric: topology is not connected")
 )
 
@@ -229,7 +229,14 @@ func (lc *linkCredits) acquireInj(fn func()) { lc.enqueue(linkWaiter{fwd: false,
 
 //simlint:hotpath
 func (lc *linkCredits) enqueue(w linkWaiter) {
-	if lc.head > 0 && lc.head == len(lc.q) {
+	if lc.head == len(lc.q) {
+		// No waiter queued: grant at once what serve would grant. A
+		// send from inside fn sees the same empty queue either way.
+		if lc.free >= w.need() {
+			lc.free--
+			w.fn()
+			return
+		}
 		// Drained ring: rewind to the front of the backing array.
 		lc.q = lc.q[:0]
 		lc.head = 0
@@ -321,13 +328,14 @@ type Node struct {
 	id        NodeID
 	ports     []*halfLink // outgoing half-links by port index; nil = free
 	portPeer  []NodeID    // neighbor on each port, -1 = free
-	endpoints map[int]*Endpoint
-	// routes[ep][dst] = output port. Endpoint key DefaultEP (-1) holds
-	// default routes used by endpoints with no specific entry.
-	routes map[int][]int
+	endpoints []*Endpoint // by endpoint index; nil = unbound
+	// routes[ep+1][dst] = output port, -1 = no entry; a nil table
+	// means ep has none. Slot 0 is DefaultEP's table: the default
+	// routes used by endpoints with no specific entry.
+	routes [][]int
 }
 
-// DefaultEP is the routes-table key holding a node's default routes:
+// DefaultEP is the endpoint index of a node's default routing table:
 // SetRoute(DefaultEP, dst, port) configures the route every endpoint
 // without a private entry for dst will use.
 const DefaultEP = -1
@@ -337,12 +345,10 @@ func New(eng *sim.Engine, cfg Config, n int) *Network {
 	net := &Network{eng: eng, cfg: cfg}
 	for i := 0; i < n; i++ {
 		node := &Node{
-			net:       net,
-			id:        NodeID(i),
-			ports:     make([]*halfLink, cfg.PortsPerNode),
-			portPeer:  make([]NodeID, cfg.PortsPerNode),
-			endpoints: make(map[int]*Endpoint),
-			routes:    make(map[int][]int),
+			net:      net,
+			id:       NodeID(i),
+			ports:    make([]*halfLink, cfg.PortsPerNode),
+			portPeer: make([]NodeID, cfg.PortsPerNode),
 		}
 		for p := range node.portPeer {
 			node.portPeer[p] = -1
@@ -453,15 +459,7 @@ func (n *Network) ComputeRoutes(maxEndpoint int) error {
 				return fmt.Errorf("%w: node %d has no next hop to %d", ErrNotConnected, v, d)
 			}
 			for ep := 0; ep <= maxEndpoint; ep++ {
-				tbl, ok := node.routes[ep]
-				if !ok {
-					tbl = make([]int, nn)
-					for i := range tbl {
-						tbl[i] = -1
-					}
-					node.routes[ep] = tbl
-				}
-				tbl[d] = cands[(ep+d)%len(cands)]
+				node.routeTable(ep)[d] = cands[(ep+d)%len(cands)]
 			}
 		}
 	}
@@ -495,34 +493,63 @@ func (nd *Node) SetRoute(ep int, dst NodeID, port int) error {
 	if port < 0 || port >= len(nd.ports) || nd.ports[port] == nil {
 		return fmt.Errorf("fabric: node %d port %d is not cabled", nd.id, port)
 	}
-	tbl, ok := nd.routes[ep]
-	if !ok {
-		tbl = make([]int, len(nd.net.nodes))
-		for i := range tbl {
-			tbl[i] = -1
-		}
-		nd.routes[ep] = tbl
+	if ep < DefaultEP {
+		return fmt.Errorf("%w: %d has no routing table", ErrBadEndpoint, ep)
 	}
-	tbl[dst] = port
+	if dst < 0 || int(dst) >= len(nd.net.nodes) {
+		return fmt.Errorf("%w: destination %d", ErrNoRoute, dst)
+	}
+	nd.routeTable(ep)[dst] = port
 	return nil
 }
 
+// routeTable returns ep's routing table (DefaultEP's for the default
+// routes), creating it with no entries when ep has none yet.
+func (nd *Node) routeTable(ep int) []int {
+	i := ep + 1
+	if i >= len(nd.routes) {
+		nd.routes = append(nd.routes, make([][]int, i+1-len(nd.routes))...)
+	}
+	if nd.routes[i] == nil {
+		tbl := make([]int, len(nd.net.nodes))
+		for d := range tbl {
+			tbl[d] = -1
+		}
+		nd.routes[i] = tbl
+	}
+	return nd.routes[i]
+}
+
+// route returns ep's own output port for dst, or -1 when ep has no
+// table or no entry for dst.
+//
+//simlint:hotpath
+func (nd *Node) route(ep int, dst NodeID) int {
+	i := ep + 1
+	if uint(i) >= uint(len(nd.routes)) || nd.routes[i] == nil {
+		return -1
+	}
+	return nd.routes[i][dst]
+}
+
 // routePort resolves the output port for (ep, dst). Endpoints with no
-// private entry fall back to the default table (endpoint key -1, the
+// private entry fall back to the default table (DefaultEP, the
 // software-configured catch-all of SetRoute), and then — for
 // compatibility with deployments that predate the default table — to
 // endpoint 0's table.
+//
+//simlint:hotpath
 func (nd *Node) routePort(ep int, dst NodeID) (int, error) {
-	if tbl, ok := nd.routes[ep]; ok && tbl[dst] >= 0 {
-		return tbl[dst], nil
+	if p := nd.route(ep, dst); p >= 0 {
+		return p, nil
 	}
-	if tbl, ok := nd.routes[DefaultEP]; ok && tbl[dst] >= 0 {
-		return tbl[dst], nil
+	if p := nd.route(DefaultEP, dst); p >= 0 {
+		return p, nil
 	}
-	if tbl, ok := nd.routes[0]; ok && tbl[dst] >= 0 {
-		return tbl[dst], nil
+	if p := nd.route(0, dst); p >= 0 {
+		return p, nil
 	}
-	//simlint:allow hotcall (error path: allocates only when no route exists, which fails the injection anyway)
+	//simlint:allow hotpath (error path: allocates only when no route exists, which fails the injection anyway)
 	return 0, fmt.Errorf("%w: node %d ep %d -> node %d", ErrNoRoute, nd.id, ep, dst)
 }
 
@@ -593,8 +620,8 @@ func (nd *Node) arrive(seg *segment) {
 //
 //simlint:hotpath
 func (nd *Node) deliver(seg *segment) {
-	ep, ok := nd.endpoints[seg.ep]
-	if !ok {
+	ep := nd.Endpoint(seg.ep)
+	if ep == nil {
 		// Delivery to an unbound endpoint is silently dropped, like
 		// hardware writing to an unselected channel.
 		nd.net.putSeg(seg)

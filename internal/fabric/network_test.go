@@ -170,7 +170,7 @@ func TestRouteDeterminism(t *testing.T) {
 		var out [][]int
 		for n := 0; n < net.Nodes(); n++ {
 			for ep := 0; ep <= 3; ep++ {
-				out = append(out, append([]int(nil), net.Node(NodeID(n)).routes[ep]...))
+				out = append(out, append([]int(nil), net.Node(NodeID(n)).routes[ep+1]...))
 			}
 		}
 		return out
@@ -325,6 +325,129 @@ func TestDuplicateEndpointRejected(t *testing.T) {
 	}
 	if _, err := net.Node(0).BindEndpoint(3); !errors.Is(err, ErrBadEndpoint) {
 		t.Fatalf("err = %v, want ErrBadEndpoint", err)
+	}
+}
+
+// The endpoint table is a slice indexed by endpoint: negative indices
+// are refused, lookups past its end find nothing, and a segment for
+// an index no node bound is dropped without disturbing the network.
+func TestEndpointTableEdges(t *testing.T) {
+	eng, net := buildNet(t, Ring(4, 1), 0)
+	if _, err := net.Node(0).BindEndpoint(-1); !errors.Is(err, ErrBadEndpoint) {
+		t.Fatalf("BindEndpoint(-1): err = %v, want ErrBadEndpoint", err)
+	}
+	src, err := net.Node(0).BindEndpoint(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Node(0).Endpoint(40); got != src {
+		t.Fatalf("Endpoint(40) = %p, want the bound %p", got, src)
+	}
+	for _, idx := range []int{-1, 39, 41, 1 << 20} {
+		if ep := net.Node(0).Endpoint(idx); ep != nil {
+			t.Fatalf("Endpoint(%d) = %p on an unbound index, want nil", idx, ep)
+		}
+	}
+	dst, _ := net.Node(1).BindEndpoint(0)
+	got := 0
+	dst.OnReceive = func(NodeID, int, any) { got++ }
+
+	// Node 1 binds only endpoint 0, so endpoint 40's traffic (routed
+	// by endpoint 0's table) reaches a node with a shorter table.
+	for i := 0; i < 3; i++ {
+		if err := src.Send(1, 3000, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	if got != 0 || net.Delivered.Value() != 0 {
+		t.Fatalf("unbound endpoint received %d messages (delivered %d), want all dropped", got, net.Delivered.Value())
+	}
+	if src.Sent != 3 || net.SegsMoved.Value() != 9 {
+		t.Fatalf("sent %d messages in %d segments, want 3 in 9", src.Sent, net.SegsMoved.Value())
+	}
+	// The dropped segments went back to the pool and their credits
+	// back to the link: the network still carries traffic.
+	if len(net.segFree) < 3 {
+		t.Fatalf("%d segments back in the pool after the drops, want at least 3", len(net.segFree))
+	}
+	src0, _ := net.Node(0).BindEndpoint(0)
+	if err := src0.Send(1, 3000, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if got != 1 {
+		t.Fatalf("bound endpoint received %d messages after the drops, want 1", got)
+	}
+}
+
+// routePort's three tiers: an endpoint's own table, then DefaultEP's,
+// then endpoint 0's. An endpoint above maxEndpoint with no default
+// table follows endpoint 0's routes; SetRoute above maxEndpoint gives
+// it a table of its own.
+func TestRouteTableTiers(t *testing.T) {
+	eng, net := buildNet(t, Ring(4, 1), 3)
+	portTo := func(at, peer NodeID) int {
+		for p, pp := range net.Node(at).portPeer {
+			if pp == peer {
+				return p
+			}
+		}
+		t.Fatalf("ring wiring missing %d-%d cable", at, peer)
+		return -1
+	}
+	latency := func(ep int) sim.Time {
+		t.Helper()
+		src, dst := net.Node(0).Endpoint(ep), net.Node(1).Endpoint(ep)
+		if src == nil {
+			src, _ = net.Node(0).BindEndpoint(ep)
+			dst, _ = net.Node(1).BindEndpoint(ep)
+		}
+		start := eng.Now()
+		var at sim.Time = -1
+		dst.OnReceive = func(NodeID, int, any) { at = eng.Now() - start }
+		if err := src.Send(1, 16, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if at < 0 {
+			t.Fatalf("endpoint %d: message never arrived", ep)
+		}
+		return at
+	}
+	// Send endpoint 0 the long way round: 0 -> 3 -> 2 -> 1.
+	for _, hop := range [][2]NodeID{{0, 3}, {3, 2}, {2, 1}} {
+		if err := net.Node(hop[0]).SetRoute(0, 1, portTo(hop[0], hop[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := latency(9); d < 1200 {
+		t.Fatalf("endpoint 9 took %v, the direct path: endpoint 0's table was not consulted", d)
+	}
+	if d := latency(2); d > 1200 {
+		t.Fatalf("endpoint 2 took %v: its own table lost to endpoint 0's", d)
+	}
+
+	// SetRoute far above maxEndpoint grows the table; the endpoints in
+	// between still have none and keep falling back.
+	if err := net.Node(0).SetRoute(20, 1, portTo(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(net.Node(0).routes); n != 22 {
+		t.Fatalf("route table has %d slots after SetRoute(20), want 22", n)
+	}
+	if d := latency(20); d > 1200 {
+		t.Fatalf("endpoint 20 took %v: its SetRoute entry was not used", d)
+	}
+	if d := latency(15); d < 1200 {
+		t.Fatalf("endpoint 15 took %v: it should still fall back to endpoint 0", d)
+	}
+
+	if err := net.Node(0).SetRoute(-2, 1, portTo(0, 1)); !errors.Is(err, ErrBadEndpoint) {
+		t.Fatalf("SetRoute(-2): err = %v, want ErrBadEndpoint", err)
+	}
+	if err := net.Node(0).SetRoute(0, 4, portTo(0, 1)); !errors.Is(err, ErrNoRoute) {
+		t.Fatalf("SetRoute to node 4 of 4: err = %v, want ErrNoRoute", err)
 	}
 }
 

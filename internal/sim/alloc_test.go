@@ -30,6 +30,23 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 	}
 }
 
+// The fabric-mix pattern: ~200 pending events within 4 us, many
+// sharing a wheel lane or landing in the tick being drained.
+func TestEngineDenseTickAllocFree(t *testing.T) {
+	e := NewEngine()
+	denseTick(e, 200)
+	for i := 0; i < 10_000; i++ {
+		e.Step()
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 1000; i++ {
+			e.Step()
+		}
+	}); n != 0 {
+		t.Fatalf("dense fire/rearm allocates %.1f objects per 1000 events, want 0", n)
+	}
+}
+
 func TestEngineCancelAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}

@@ -11,8 +11,13 @@
 // (a stale Cancel after slot reuse is a safe no-op), and the pending
 // set is a hierarchical timer structure — near-future events in a
 // bucketed wheel, far timers in a min-heap that cascades into the
-// wheel as time advances. Firing order is exactly (time, insertion
-// sequence), identical to a single global priority queue.
+// wheel as time advances. The wheel has 4096 lanes of 256 ns ticks, a
+// ~1 ms horizon: the tick is shorter than a 0.48 us fabric hop, so one
+// drain orders only the few events that share a tick. Lane occupancy
+// is 64 bitmap words plus a one-word summary of the non-empty words,
+// so finding the next occupied lane takes a constant number of loads.
+// Firing order is exactly (time, insertion sequence), identical to a
+// single global priority queue.
 package sim
 
 import (
@@ -51,13 +56,15 @@ func (t Time) String() string {
 }
 
 // Timer-wheel geometry. Each bucket spans one tick of 2^tickBits ns
-// (4.096 us); the wheel's 256 buckets cover ~1 ms of near future —
-// flash reads, programs, network hops and DMA all land here. Events
-// beyond the horizon (3 ms erases, long think timers) wait in a far
-// min-heap and cascade into the wheel as the clock approaches them.
+// (256 ns, under one fabric hop); the wheel's 4096 buckets cover ~1 ms
+// of near future — flash reads, programs, network hops and DMA all
+// land here. Events beyond the horizon (3 ms erases, long think
+// timers) wait in a far min-heap and cascade into the wheel as the
+// clock approaches them. The summary word has one bit per occupancy
+// word, which caps wheelWords at 64.
 const (
-	tickBits   = 12
-	wheelSlots = 256
+	tickBits   = 8
+	wheelSlots = 4096
 	wheelMask  = wheelSlots - 1
 	wheelWords = wheelSlots / 64
 )
@@ -128,7 +135,8 @@ type EngineStats struct {
 	// near-future fast path).
 	WheelEvents uint64 `json:"wheel_events"`
 	// CurEvents counts events scheduled directly into the current-tick
-	// drain heap (zero-delay kicks and same-tick rearms).
+	// drain heap: zero-delay kicks and any delay that lands inside the
+	// 256 ns tick being drained.
 	CurEvents uint64 `json:"cur_events"`
 	// FarEvents counts events scheduled beyond the wheel horizon into
 	// the far heap.
@@ -157,9 +165,11 @@ type Engine struct {
 	cur []entry
 
 	// Near wheel: buckets[t&wheelMask] chains events whose tick t is
-	// in [base, base+wheelSlots). occupied mirrors non-empty buckets.
+	// in [base, base+wheelSlots). occupied mirrors non-empty buckets;
+	// bit i of summary is set while occupied[i] != 0.
 	buckets  [wheelSlots]bucket
 	occupied [wheelWords]uint64
+	summary  uint64
 	wheelCnt int
 
 	// Far heap: events with tick ≥ horizon at scheduling time.
@@ -388,6 +398,7 @@ func (e *Engine) bucketPush(tick int64, idx int32) {
 	if b.head < 0 {
 		b.head = idx
 		e.occupied[slot>>6] |= 1 << uint(slot&63)
+		e.summary |= 1 << uint(slot>>6)
 	} else {
 		e.slots[b.tail].next = idx
 	}
@@ -396,7 +407,10 @@ func (e *Engine) bucketPush(tick int64, idx int32) {
 }
 
 // nextBucketDist returns the circular distance from base to the first
-// occupied bucket, or -1 if the wheel is empty.
+// occupied bucket, or -1 if the wheel is empty. Past the start word,
+// the summary rotated right by sw+1 has bit k set when word
+// (sw+1+k)&63 is occupied; k = 63 is the start word again, whose
+// remaining bits all lie below sb, so one formula covers the wrap.
 //
 //simlint:hotpath
 func (e *Engine) nextBucketDist() int {
@@ -405,17 +419,13 @@ func (e *Engine) nextBucketDist() int {
 	if w := e.occupied[sw] >> sb; w != 0 {
 		return bits.TrailingZeros64(w)
 	}
-	d := 64 - int(sb)
-	for i := 1; i < wheelWords; i++ {
-		if w := e.occupied[(sw+i)&(wheelWords-1)]; w != 0 {
-			return d + bits.TrailingZeros64(w)
-		}
-		d += 64
+	r := bits.RotateLeft64(e.summary, -(sw + 1))
+	if r == 0 {
+		return -1
 	}
-	if w := e.occupied[sw] & (1<<sb - 1); w != 0 {
-		return d + bits.TrailingZeros64(w)
-	}
-	return -1
+	k := bits.TrailingZeros64(r)
+	w := e.occupied[(sw+1+k)&(wheelWords-1)]
+	return 64 - int(sb) + 64*k + bits.TrailingZeros64(w)
 }
 
 // drainBucket moves every event of the bucket at tick into the cur
@@ -439,6 +449,9 @@ func (e *Engine) drainBucket(tick int64) {
 	}
 	b.head, b.tail = -1, -1
 	e.occupied[slot>>6] &^= 1 << uint(slot&63)
+	if e.occupied[slot>>6] == 0 {
+		e.summary &^= 1 << uint(slot>>6)
+	}
 }
 
 // cascade moves far-heap events whose tick is now inside the wheel

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -9,7 +10,10 @@ import (
 // randomized script — delays spanning the current tick, the wheel
 // range, and the far heap, plus nested scheduling and cancellations —
 // and requires the exact same firing order. This is the "identical
-// (time, seq) order" contract of the timer wheel.
+// (time, seq) order" contract of the timer wheel. Each seed opens
+// with a dense burst, the fabric pattern: hundreds of events pending
+// inside one 4 us window whose callbacks rearm at 0-1 us delays, so
+// many ticks drain at once and same-tick arrivals go straight to cur.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	type refEvent struct {
 		at        Time
@@ -49,15 +53,18 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 			return ev
 		}
 
-		// Delay mix: same instant, same tick, inside the wheel span,
-		// beyond the horizon (multiple wheel revolutions out).
+		// Delay mix: same instant, same tick, sub-microsecond, inside
+		// the wheel span, beyond the horizon (multiple wheel
+		// revolutions out).
 		randDelay := func() Time {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				return 0
 			case 1:
 				return Time(rng.Intn(1 << tickBits))
 			case 2:
+				return Time(rng.Intn(int(Microsecond) + 1))
+			case 3:
 				return Time(rng.Intn(wheelSlots << tickBits))
 			default:
 				return Time(rng.Intn(16 * wheelSlots << tickBits))
@@ -70,27 +77,30 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		var refEvents []*refEvent
 
 		var spawn func(depth int)
-		spawn = func(depth int) {
-			n := rng.Intn(3) + 1
-			for i := 0; i < n; i++ {
-				d := randDelay()
-				id := nextID
-				nextID++
-				depth := depth
-				ev := e.After(d, func() {
-					engOrder = append(engOrder, id)
-					if depth < 3 && rng.Intn(2) == 0 {
-						spawn(depth + 1)
-					}
-				})
-				engEvents = append(engEvents, ev)
-				refEvents = append(refEvents, refPush(e.Now()+d, id))
-			}
-			// Occasionally cancel a random prior event in both models.
-			// The engine ignores cancels of already-fired events
-			// (stale generation); the pending count says whether this
-			// one actually hit, and the reference mirrors that.
-			if len(engEvents) > 4 && rng.Intn(4) == 0 {
+		var schedule func(d Time, depth int)
+		dense := 0 // burst callbacks left that rearm sub-microsecond
+		schedule = func(d Time, depth int) {
+			id := nextID
+			nextID++
+			ev := e.After(d, func() {
+				engOrder = append(engOrder, id)
+				if dense > 0 {
+					dense--
+					schedule(Time(rng.Intn(int(Microsecond)+1)), 3)
+				}
+				if depth < 3 && rng.Intn(2) == 0 {
+					spawn(depth + 1)
+				}
+			})
+			engEvents = append(engEvents, ev)
+			refEvents = append(refEvents, refPush(e.Now()+d, id))
+		}
+		// cancelSome occasionally cancels a random prior event in both
+		// models. The engine ignores cancels of already-fired events
+		// (stale generation); the pending count says whether this one
+		// actually hit, and the reference mirrors that.
+		cancelSome := func(oneIn int) {
+			if len(engEvents) > 4 && rng.Intn(oneIn) == 0 {
 				k := rng.Intn(len(engEvents))
 				before := e.Pending()
 				e.Cancel(engEvents[k])
@@ -98,6 +108,23 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 					refEvents[k].cancelled = true
 				}
 			}
+		}
+		spawn = func(depth int) {
+			n := rng.Intn(3) + 1
+			for i := 0; i < n; i++ {
+				schedule(randDelay(), depth)
+			}
+			cancelSome(4)
+		}
+
+		// Dense burst: 300 events inside the first 4 us, 0-1 us rearms.
+		dense = 1500
+		for i := 0; i < 300; i++ {
+			schedule(Time(rng.Intn(4*int(Microsecond))), 3)
+			cancelSome(8)
+		}
+		if e.Pending() < 250 {
+			t.Fatalf("seed %d: dense burst left %d events pending, want hundreds", seed, e.Pending())
 		}
 
 		// The reference model replays the engine's callbacks: drive
@@ -258,5 +285,84 @@ func TestEngineFarWheelBoundary(t *testing.T) {
 	}
 	if st.FarCascades != 2 {
 		t.Fatalf("far cascades = %d, want 2", st.FarCascades)
+	}
+}
+
+// TestEngineNextBucketEveryWord runs a chain of single events, each
+// scheduled from its predecessor's callback, so that when one is due
+// the wheel holds only it and nextBucketDist must find it from the
+// lane after its predecessor's. For start lanes at several bit
+// offsets sb within several occupancy words sw, the chain places the
+// next event k words past the start word for every k, including
+// k = 63: the start word again, at a bit below sb, reached only by
+// wrapping around the whole wheel. Each event is preceded by one that
+// positions the start lane. Fire times must match the sorted plan.
+func TestEngineNextBucketEveryWord(t *testing.T) {
+	var plan []Time
+	// at returns a time inside tick, off its lane's first nanosecond.
+	at := func(tick int64) Time { return Time(tick<<tickBits + tick%(1<<tickBits)) }
+	tick := int64(3*wheelSlots) - 1 // a few revolutions in
+	for _, sb := range []int64{0, 1, 17, 62, 63} {
+		for _, sw := range []int64{0, 1, 30, 62, 63} {
+			for k := int64(0); k < wheelWords; k++ {
+				j := (7*k + sb) % 64
+				if k == wheelWords-1 {
+					if sb == 0 {
+						continue // no bit below sb to wrap into
+					}
+					j = 0
+					if sw%2 == 1 {
+						j = sb - 1 // the lane just below the start
+					}
+				}
+				// Position: an event whose drain leaves base at a lane
+				// with offset sw*64+sb, at least one tick ahead.
+				lane := sw*64 + sb
+				start := tick + 2 + (lane-(tick+2))&wheelMask
+				plan = append(plan, at(start-1))
+				tick = start + 64 - sb + 64*k + j
+				plan = append(plan, at(tick))
+			}
+		}
+	}
+	if !slices.IsSorted(plan) {
+		t.Fatal("test premise broken: plan is not increasing")
+	}
+
+	e := NewEngine()
+	var fired []Time
+	next := 0
+	var fn func()
+	fn = func() {
+		fired = append(fired, e.Now())
+		if next < len(plan) {
+			if e.Pending() != 0 {
+				t.Fatalf("event %d: %d others pending, want a single event", next, e.Pending())
+			}
+			if d := int64(plan[next])>>tickBits - e.base; d < 0 || d >= wheelSlots {
+				t.Fatalf("event %d: %d ticks past base, want inside the wheel", next, d)
+			}
+			e.At(plan[next], fn)
+			next++
+		}
+	}
+	e.At(plan[0], fn)
+	next = 1
+	e.Run()
+	for i := range min(len(fired), len(plan)) {
+		if fired[i] != plan[i] {
+			t.Fatalf("event %d fired at %v, want %v", i, fired[i], plan[i])
+		}
+	}
+	if len(fired) != len(plan) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(plan))
+	}
+	if st := e.Stats(); st.CurEvents != 0 {
+		t.Fatalf("%d events went to cur; every event should ride a wheel lane", st.CurEvents)
+	}
+	// A stale summary bit would not misorder events, only send
+	// nextBucketDist to empty words; check the drained wheel is clear.
+	if e.summary != 0 || e.occupied != [wheelWords]uint64{} {
+		t.Fatalf("drained wheel still marks lanes: summary %#x", e.summary)
 	}
 }
