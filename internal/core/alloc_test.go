@@ -6,9 +6,9 @@ import (
 
 // hostReadPageAllocCeiling is the measured number of heap objects one
 // completed local HostRead of a page allocates, from the storage-stack
-// charge through flash, ECC decode and the DMA bursts to the completion
+// charge through flash, ECC correction and the DMA bursts to the completion
 // interrupt. It is a ceiling: lower it when the path gets leaner.
-const hostReadPageAllocCeiling = 21
+const hostReadPageAllocCeiling = 18
 
 // localHostRead writes one page on node 0's first card and returns a
 // function that reads it back into host memory through HostRead and

@@ -251,9 +251,7 @@ func (n *Node) handleFlashReq(src fabric.NodeID, _ int, payload any) {
 			// logical content as the flash page.
 			n.dram.Transfer(n.cluster.Params.PageSize(), func() {
 				data := make([]byte, n.cluster.Params.PageSize())
-				if raw := n.cards[msg.card].Peek(msg.addr); raw != nil {
-					copy(data, raw[:n.cluster.Params.PageSize()])
-				}
+				copy(data, n.cards[msg.card].Peek(msg.addr))
 				n.respond(msg, data, nil)
 			})
 		case msg.write:

@@ -1,9 +1,15 @@
 // Package ecc implements the bit-error correction performed by the
 // BlueDBM flash controller (the ECC encoder/decoder pair of paper
 // Table 1). It provides a SEC-DED extended Hamming(72,64) code over
-// 64-bit words and a page-level codec that protects whole flash pages,
-// so the rest of the system sees "logical error-free access into
-// flash" (paper §5.1).
+// 64-bit words and a page-level codec over whole flash pages, so the
+// rest of the system sees "logical error-free access into flash"
+// (paper §5.1).
+//
+// The code is linear, so a read's outcome depends only on its error
+// pattern. The flash read path therefore never materialises a stored
+// image: PageCodec.Correct decodes just the words a read's flip list
+// touches. PageCodec.EncodePage and DecodePageInPlace, which encode and
+// decode whole images, are the reference it is tested against.
 package ecc
 
 import (

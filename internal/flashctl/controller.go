@@ -74,11 +74,14 @@ type Handlers struct {
 	// different tags may interleave; bursts of one tag arrive in order.
 	ReadChunk func(tag int, offset int, chunk []byte, last bool)
 	// ReadDone fires after the final burst (or on error, with a nil
-	// page). page is the whole decoded page and corrected is the number
-	// of ECC-corrected bit flips in it. Ownership: page is the read's
-	// private copy, shared with no other read and not with the card, so
-	// the handler owns it and may keep or modify it; its capacity ends
-	// at the page, so appending to it never reaches the OOB bytes. The
+	// page). page is the whole corrected page and corrected is the
+	// number of ECC-corrected bit flips in it. Ownership: page is
+	// read-only. A clean or corrected read hands out the card's stored
+	// data itself, shared with the card and with every other read of the
+	// page; a read left with a miscorrected word gets its own copy, but
+	// handlers cannot tell which. The handler may keep page (the card never changes it,
+	// and an erase does not reclaim it) and pass it on; anything that
+	// must modify it copies it first. Its capacity ends at the page. The
 	// ReadChunk bursts of the read are sub-slices of the same page.
 	ReadDone func(tag int, page []byte, corrected int, err error)
 	// WriteDataReq tells the user the controller is ready to accept the
@@ -233,7 +236,9 @@ func (c *Controller) Issue(cmd Command) error {
 }
 
 // WriteData supplies the page for a pending write command. data must be
-// exactly one page.
+// exactly one page. The controller takes ownership of data: it becomes
+// the page's stored data on the card (see nand.Card.ProgramPage), so
+// the caller must neither modify nor reuse it after the call.
 func (c *Controller) WriteData(tag int, data []byte) error {
 	if tag < 0 || tag >= c.cfg.Tags {
 		return fmt.Errorf("%w: %d", ErrBadTag, tag)
@@ -246,19 +251,13 @@ func (c *Controller) WriteData(tag int, data []byte) error {
 	}
 	c.tags[tag] = tagWriting
 	addr := c.addrs[tag]
-	// Encoding is pure, so it runs now — EncodePage's output buffer
-	// doubles as the snapshot of data, replacing a separate defensive
-	// copy, and nothing else holds it, so it is handed to ProgramPage,
-	// which keeps it as the stored image. Data crosses the serial link
-	// in 128-bit bursts (modelled as one serialized transfer), then is
-	// programmed.
-	raw, encErr := c.codec.EncodePage(data)
+	// Data crosses the serial link in 128-bit bursts (modelled as one
+	// serialized transfer), then is programmed. The card charges the
+	// OOB check bytes on its bus but does not store them: the read path
+	// corrects from the error pattern alone (ecc.PageCodec.Correct), so
+	// no encode runs here.
 	c.fromUser.Transfer(len(data), func() {
-		if encErr != nil {
-			c.finishWrite(tag, encErr)
-			return
-		}
-		c.card.ProgramPage(addr, raw, func(err error) {
+		c.card.ProgramPage(addr, data, func(err error) {
 			c.finishWrite(tag, err)
 		})
 	})
@@ -273,22 +272,26 @@ func (c *Controller) finishWrite(tag int, err error) {
 }
 
 func (c *Controller) startRead(tag int, addr nand.Addr) {
-	c.card.ReadPage(addr, func(raw []byte, err error) {
+	c.card.ReadPage(addr, func(page []byte, flips []int, err error) {
 		if err != nil {
 			c.finishRead(tag, nil, 0, err)
 			return
 		}
-		// The card hands each read its own copy of the stored page, so
-		// the decode can correct bits in place instead of copying.
-		res, err := c.codec.DecodePageInPlace(raw)
-		if err != nil {
-			c.Uncorrectable.Inc()
-			c.finishRead(tag, nil, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, addr, err))
-			return
+		// The stored data is what a clean or SEC-DED-corrected read
+		// returns, so it streams as is. Injected flips are decoded from
+		// their pattern alone; only a word they leave miscorrected
+		// (three or more flips) costs a private copy of the page.
+		corrected := 0
+		if len(flips) > 0 {
+			page, corrected, err = c.codec.Correct(page, flips)
+			if err != nil {
+				c.Uncorrectable.Inc()
+				c.finishRead(tag, nil, 0, fmt.Errorf("%w: %v: %v", ErrUncorrectable, addr, err))
+				return
+			}
+			c.CorrectedBits.Add(int64(corrected))
 		}
-		c.CorrectedBits.Add(int64(res.Corrected))
-		page := res.Data[:len(res.Data):len(res.Data)]
-		c.streamBursts(tag, page, 0, res.Corrected)
+		c.streamBursts(tag, page, 0, corrected)
 	})
 }
 

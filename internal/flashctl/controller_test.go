@@ -123,7 +123,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal("read data mismatch")
 	}
 	// ReadDone hands over the whole page, capped at the page so that
-	// appending to it never reaches the OOB bytes behind it.
+	// appending to it never writes past it.
 	if page := r.pages[9]; !bytes.Equal(page, data) || cap(page) != len(data) {
 		t.Fatalf("ReadDone page: %d bytes, cap %d, equal %v; want the %d-byte page, capped",
 			len(page), cap(page), bytes.Equal(page, data), len(data))

@@ -70,8 +70,10 @@ func NewServer(sp *Splitter, name string, queueDepth int) *Server {
 		pendingWrites: make(map[int][]byte),
 	}
 	srv.port = sp.NewPort(name, flashctl.Handlers{
-		// The page is this read's own copy (see flashctl.Handlers), so
-		// it is delivered as is instead of reassembled from the bursts.
+		// The page is whole and read-only, possibly shared with the card
+		// (see flashctl.Handlers), so it is delivered as is instead of
+		// reassembled from the bursts; ReadPhysical callers get it under
+		// the same read-only contract.
 		ReadDone: func(tag int, page []byte, corrected int, err error) {
 			if op := srv.inflight[tag]; op != nil {
 				op.buf = page
@@ -131,6 +133,9 @@ func (s *Server) finish(tag int, err error) {
 
 // ReadPhysical reads the page at a physical address. The callback
 // fires in FIFO order relative to other requests on this interface.
+// data is read-only: it may be the card's stored page itself, shared
+// with every other read of it (see flashctl.Handlers.ReadDone), so a
+// consumer that must modify it copies it first.
 func (f *Iface) ReadPhysical(addr nand.Addr, cb func(data []byte, err error)) {
 	seq := f.nextSeq
 	f.nextSeq++

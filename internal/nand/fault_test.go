@@ -3,24 +3,36 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// readRaw reads one page synchronously (driving the engine) and
-// returns the raw image.
-func readRaw(t *testing.T, eng *sim.Engine, c *Card, a Addr) []byte {
+// readPage reads one page synchronously (driving the engine) and
+// returns its stored data and a copy of the read's flip list.
+func readPage(t *testing.T, eng *sim.Engine, c *Card, a Addr) (page []byte, flips []int) {
 	t.Helper()
-	var got []byte
-	c.ReadPage(a, func(r []byte, err error) {
+	done := false
+	c.ReadPage(a, func(p []byte, f []int, err error) {
 		if err != nil {
 			t.Fatalf("read %v: %v", a, err)
 		}
-		got = r
+		page, flips, done = p, slices.Clone(f), true
 	})
 	eng.Run()
-	return got
+	if !done {
+		t.Fatalf("read %v never completed", a)
+	}
+	return page, flips
+}
+
+// readFlips reads one page synchronously and returns how many bit
+// errors the read injected.
+func readFlips(t *testing.T, eng *sim.Engine, c *Card, a Addr) int {
+	t.Helper()
+	_, flips := readPage(t, eng, c, a)
+	return len(flips)
 }
 
 // TestInjectorPerBlockDeterminism pins the injector's defining
@@ -31,7 +43,7 @@ func readRaw(t *testing.T, eng *sim.Engine, c *Card, a Addr) []byte {
 // reads with heavy traffic to a different block.
 func TestInjectorPerBlockDeterminism(t *testing.T) {
 	rel := Reliability{BitErrorRate: 1e-3}
-	run := func(interleave bool) [][]byte {
+	run := func(interleave bool) [][]int {
 		eng := sim.NewEngine()
 		c, err := NewCard(eng, "det", testGeometry(), DefaultTiming(), rel, 77)
 		if err != nil {
@@ -39,26 +51,32 @@ func TestInjectorPerBlockDeterminism(t *testing.T) {
 		}
 		target := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 		other := Addr{Bus: 1, Chip: 1, Block: 3, Page: 0}
-		c.ProgramPage(target, mkRaw(c, 0x55), func(error) {})
-		c.ProgramPage(other, mkRaw(c, 0xaa), func(error) {})
+		c.ProgramPage(target, mkPage(c, 0x55), func(error) {})
+		c.ProgramPage(other, mkPage(c, 0xaa), func(error) {})
 		eng.Run()
-		var reads [][]byte
+		var reads [][]int
 		for i := 0; i < 8; i++ {
 			if interleave {
 				for j := 0; j < 3; j++ {
-					readRaw(t, eng, c, other)
+					readPage(t, eng, c, other)
 				}
 			}
-			reads = append(reads, readRaw(t, eng, c, target))
+			_, flips := readPage(t, eng, c, target)
+			reads = append(reads, flips)
 		}
 		return reads
 	}
 	plain := run(false)
 	mixed := run(true)
+	total := 0
 	for i := range plain {
-		if !bytes.Equal(plain[i], mixed[i]) {
+		if !slices.Equal(plain[i], mixed[i]) {
 			t.Fatalf("read %d of block 0 differs when interleaved with other-block traffic", i)
 		}
+		total += len(plain[i])
+	}
+	if total == 0 {
+		t.Fatal("no flips injected: the test compared nothing")
 	}
 }
 
@@ -74,17 +92,11 @@ func TestInjectorWearScaling(t *testing.T) {
 	}
 	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 	countFlips := func(reads int) int {
-		c.ProgramPage(a, mkRaw(c, 0x33), func(error) {})
+		c.ProgramPage(a, mkPage(c, 0x33), func(error) {})
 		eng.Run()
-		want := mkRaw(c, 0x33)
 		flips := 0
 		for i := 0; i < reads; i++ {
-			got := readRaw(t, eng, c, a)
-			for j := range got {
-				if got[j] != want[j] {
-					flips++
-				}
-			}
+			flips += readFlips(t, eng, c, a)
 		}
 		return flips
 	}
@@ -115,18 +127,12 @@ func TestReadDisturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Addr{Bus: 0, Chip: 0, Block: 1, Page: 0}
-	c.ProgramPage(a, mkRaw(c, 0x77), func(error) {})
+	c.ProgramPage(a, mkPage(c, 0x77), func(error) {})
 	eng.Run()
-	want := mkRaw(c, 0x77)
 	flipsIn := func(reads int) int {
 		flips := 0
 		for i := 0; i < reads; i++ {
-			got := readRaw(t, eng, c, a)
-			for j := range got {
-				if got[j] != want[j] {
-					flips++
-				}
-			}
+			flips += readFlips(t, eng, c, a)
 		}
 		return flips
 	}
@@ -144,7 +150,7 @@ func TestFailAndReplace(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
-	c.ProgramPage(a, mkRaw(c, 0x11), func(err error) {
+	c.ProgramPage(a, mkPage(c, 0x11), func(err error) {
 		if err != nil {
 			t.Fatalf("program before failure: %v", err)
 		}
@@ -156,8 +162,8 @@ func TestFailAndReplace(t *testing.T) {
 		t.Fatal("Failed() = false after Fail")
 	}
 	var rErr, pErr, eErr error
-	c.ReadPage(a, func(_ []byte, err error) { rErr = err })
-	c.ProgramPage(Addr{0, 0, 0, 1}, mkRaw(c, 2), func(err error) { pErr = err })
+	c.ReadPage(a, func(_ []byte, _ []int, err error) { rErr = err })
+	c.ProgramPage(Addr{0, 0, 0, 1}, mkPage(c, 2), func(err error) { pErr = err })
 	c.EraseBlock(Addr{0, 0, 1, 0}, func(err error) { eErr = err })
 	eng.Run()
 	for name, err := range map[string]error{"read": rErr, "program": pErr, "erase": eErr} {
@@ -172,7 +178,7 @@ func TestFailAndReplace(t *testing.T) {
 	}
 	// The replacement is blank: the old data is gone, pages are free.
 	var freshErr error
-	c.ReadPage(a, func(_ []byte, err error) { freshErr = err })
+	c.ReadPage(a, func(_ []byte, _ []int, err error) { freshErr = err })
 	eng.Run()
 	if !errors.Is(freshErr, ErrReadFree) {
 		t.Fatalf("read on replaced card = %v, want ErrReadFree (blank card)", freshErr)
@@ -181,7 +187,7 @@ func TestFailAndReplace(t *testing.T) {
 		t.Fatalf("erase count %d on replaced card, want 0", c.EraseCount(a))
 	}
 	// And fully serviceable: program/read round-trips.
-	raw := mkRaw(c, 0x99)
+	raw := mkPage(c, 0x99)
 	want := bytes.Clone(raw) // the card keeps raw itself
 	c.ProgramPage(a, raw, func(err error) {
 		if err != nil {
@@ -189,7 +195,7 @@ func TestFailAndReplace(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if got := readRaw(t, eng, c, a); !bytes.Equal(got, want) {
+	if got, _ := readPage(t, eng, c, a); !bytes.Equal(got, want) {
 		t.Fatal("replaced card returned wrong data")
 	}
 }
@@ -201,7 +207,7 @@ func TestFailDrainsQueuedOps(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
-	c.ProgramPage(a, mkRaw(c, 1), func(error) {})
+	c.ProgramPage(a, mkPage(c, 1), func(error) {})
 	eng.Run()
 	// Queue several reads, then fail before the engine runs them. Read 0
 	// is dispatched to the chip at enqueue time — it passed its fault
@@ -210,7 +216,7 @@ func TestFailDrainsQueuedOps(t *testing.T) {
 	errs := make([]error, 4)
 	for i := range errs {
 		i := i
-		c.ReadPage(a, func(_ []byte, err error) { errs[i] = err })
+		c.ReadPage(a, func(_ []byte, _ []int, err error) { errs[i] = err })
 	}
 	c.Fail()
 	eng.Run()
@@ -225,7 +231,8 @@ func TestFailDrainsQueuedOps(t *testing.T) {
 }
 
 // TestCorruptAllocFree pins the injector's noise computation at zero
-// allocations: it runs on every flash read of every experiment.
+// allocations: it runs on every flash read of every experiment, and
+// its flip list reuses the card's scratch.
 func TestCorruptAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	rel := Reliability{BitErrorRate: 1e-3, EnduranceCycles: 100, ReadDisturb: 0.01}
@@ -233,10 +240,10 @@ func TestCorruptAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, c.Geometry().StoredPageSize())
+	c.corrupt(5, 7, 1000) // grow the scratch past any one read's flips
 	serial := int64(0)
 	avg := testing.AllocsPerRun(200, func() {
-		c.corrupt(buf, 5, 7, serial)
+		c.corrupt(5, 7, serial)
 		serial++
 	})
 	if avg != 0 {

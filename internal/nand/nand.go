@@ -5,6 +5,16 @@
 // wear-out, bad blocks — and injects bit errors on reads so that the
 // controller's ECC path is genuinely exercised.
 //
+// Pages are stored once, as immutable data: a program keeps the
+// caller's PageSize bytes, and every read hands out that same slice,
+// read-only. The OOB (ECC check) bytes are charged on the bus but not
+// stored. Read errors are not applied to the bytes either: a read
+// yields the list of flipped bit positions over the whole stored image
+// (data then OOB), and the controller's ECC decodes that pattern alone
+// (ecc.PageCodec.Correct). Hamming(72,64) is linear, so this gives
+// exactly what decoding the corrupted image would: the stored data for
+// a clean or corrected read, a private copy only for a miscorrection.
+//
 // Timing is modelled on the paper's custom flash board: ~50 µs cell
 // reads, 8 buses per card at 150 MB/s each for an aggregate 1.2 GB/s
 // per card (paper §5.1, §6.5).
@@ -24,7 +34,7 @@ var (
 	ErrOutOfOrder    = errors.New("nand: pages in a block must be programmed in order")
 	ErrReadFree      = errors.New("nand: reading an unwritten page")
 	ErrBadAddress    = errors.New("nand: address out of range")
-	ErrWrongDataSize = errors.New("nand: stored image has wrong size")
+	ErrWrongDataSize = errors.New("nand: page data has wrong size")
 	// ErrDead reports an operation against a failed card (Fail). It is
 	// the whole-card fault domain: every layer above classifies it as a
 	// storage fault and fails over to a replica where one exists.
@@ -38,7 +48,7 @@ type Geometry struct {
 	BlocksPerChip int
 	PagesPerBlock int
 	PageSize      int // logical data bytes per page
-	OOBSize       int // out-of-band bytes (ECC) stored alongside each page
+	OOBSize       int // out-of-band (ECC) bytes per page: charged on the bus, not stored
 }
 
 // Validate reports whether all geometry fields are positive.
@@ -50,7 +60,9 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// StoredPageSize returns the raw bytes stored per page (data + OOB).
+// StoredPageSize returns the raw bytes per page (data + OOB): what a
+// read or program moves over the bus, and the span of the bit
+// positions a read's flip list indexes.
 func (g Geometry) StoredPageSize() int { return g.PageSize + g.OOBSize }
 
 // PagesPerChip returns pages in one chip.
@@ -156,8 +168,9 @@ type Card struct {
 
 	buses []*busState
 	chips []*chipState // bus-major order
-	data  [][]byte     // stored raw image per linear page index; nil = free
+	data  [][]byte     // stored page data per linear page index; nil = free
 	state []PageState
+	flips []int // scratch flip list handed to one read callback at a time
 
 	// stats
 	Reads         sim.Counter
@@ -170,9 +183,16 @@ type busState struct {
 	pipe *sim.Pipe
 }
 
+// chipState is one chip's operation FIFO and per-block state. The
+// FIFO is a ring over one backing slice (head index plus length), so a
+// chip that never drains still reuses its capacity instead of walking
+// the array forward, and done is bound once per chip rather than built
+// per operation.
 type chipState struct {
 	queue      []func(done func())
+	head, n    int
 	running    bool
+	done       func() // runs the next queued op; bound in NewCard
 	eraseCount []int64
 	bad        []bool
 	nextPage   []int   // next programmable page index per block
@@ -207,6 +227,7 @@ func NewCard(eng *sim.Engine, name string, geo Geometry, tim Timing, rel Reliabi
 				nextPage:   make([]int, geo.BlocksPerChip),
 				readSerial: make([]int64, geo.BlocksPerChip),
 			}
+			cs.done = func() { c.runNext(cs) }
 			for blk := 0; blk < geo.BlocksPerChip; blk++ {
 				if c.rng.Float64() < rel.FactoryBadBlockProb {
 					cs.bad[blk] = true
@@ -275,85 +296,117 @@ func (c *Card) AddrOf(idx int) Addr {
 // chip is free. The op must call done() when the chip can accept the
 // next operation (which may be before the op's data finishes moving:
 // NAND cache registers let a bus transfer overlap the next cell read).
+//
+//simlint:hotpath
 func (c *Card) enqueue(cs *chipState, op func(done func())) {
-	cs.queue = append(cs.queue, op)
+	if cs.n == len(cs.queue) {
+		//simlint:allow escapecheck (inlined ring doubling: the compiler attributes grow's amortized make to this call site)
+		cs.grow()
+	}
+	cs.queue[(cs.head+cs.n)%len(cs.queue)] = op
+	cs.n++
 	if !cs.running {
 		cs.running = true
 		c.runNext(cs)
 	}
 }
 
+// grow doubles the ring, unwrapping it to start at index 0.
+func (cs *chipState) grow() {
+	//simlint:allow hotcall (ring doubling: amortized, the ring keeps its capacity once the chip's queue depth is reached)
+	q := make([]func(done func()), max(4, 2*len(cs.queue)))
+	for i := 0; i < cs.n; i++ {
+		q[i] = cs.queue[(cs.head+i)%len(cs.queue)]
+	}
+	cs.queue, cs.head = q, 0
+}
+
+//simlint:hotpath
 func (c *Card) runNext(cs *chipState) {
-	if len(cs.queue) == 0 {
+	if cs.n == 0 {
 		cs.running = false
 		return
 	}
-	op := cs.queue[0]
-	cs.queue = cs.queue[1:]
-	op(func() { c.runNext(cs) })
+	op := cs.queue[cs.head]
+	cs.queue[cs.head] = nil
+	cs.head = (cs.head + 1) % len(cs.queue)
+	cs.n--
+	op(cs.done)
 }
 
-// ReadPage reads the raw stored image (data+OOB) of a page. Timing:
-// cell read occupies the chip, then the image crosses the shared bus.
-// Bit errors are injected into the returned copy according to the
-// block's wear. The callback receives the raw image or an error; the
-// image is a fresh copy the callback owns and may modify in place.
-func (c *Card) ReadPage(a Addr, cb func(raw []byte, err error)) {
+// ReadPage reads a page. Timing: the cell read occupies the chip, then
+// the whole stored image (data + OOB) crosses the shared bus. The
+// callback receives the page's stored data and the bit errors injected
+// into this read, or an error.
+//
+// Ownership: page is the card's stored slice, shared with the card and
+// with every other read of it, so it is read-only for the callback and
+// everything it hands page to; it stays valid after an erase. flips
+// lists the flipped bit positions over the stored image of
+// StoredPageSize()*8 bits — data bits first, then OOB — in injection
+// order, possibly repeated (a position listed twice cancels). flips is
+// the card's scratch: valid only during the callback, which may reorder
+// it but must not keep it.
+func (c *Card) ReadPage(a Addr, cb func(page []byte, flips []int, err error)) {
 	if err := c.checkAddr(a, true); err != nil {
-		cb(nil, err)
+		cb(nil, nil, err)
 		return
 	}
 	cs := c.chipAt(a)
 	c.enqueue(cs, func(done func()) {
 		if c.failed {
 			done()
-			cb(nil, fmt.Errorf("%w: %s", ErrDead, c.name))
+			cb(nil, nil, fmt.Errorf("%w: %s", ErrDead, c.name))
 			return
 		}
 		if cs.bad[a.Block] {
 			done()
-			cb(nil, fmt.Errorf("%w: %v", ErrBadBlock, a))
+			cb(nil, nil, fmt.Errorf("%w: %v", ErrBadBlock, a))
 			return
 		}
 		idx := c.PageIndex(a)
 		if c.state[idx] != PageWritten {
 			done()
-			cb(nil, fmt.Errorf("%w: %v", ErrReadFree, a))
+			cb(nil, nil, fmt.Errorf("%w: %v", ErrReadFree, a))
 			return
 		}
 		c.Reads.Inc()
 		c.eng.After(c.tim.ReadPage, func() {
 			done() // register drained into cache; chip can start next op
-			raw := make([]byte, len(c.data[idx]))
-			copy(raw, c.data[idx])
+			// The noise of this read is fixed at cell-read time; the
+			// page data is immutable, so only the slice is captured.
+			page := c.data[idx]
+			gblk, erases := c.globalBlock(a), cs.eraseCount[a.Block]
 			serial := cs.readSerial[a.Block]
 			cs.readSerial[a.Block]++
-			c.corrupt(raw, c.globalBlock(a), cs.eraseCount[a.Block], serial)
-			c.buses[a.Bus].pipe.Transfer(len(raw), func() {
-				cb(raw, nil)
+			c.buses[a.Bus].pipe.Transfer(c.geo.StoredPageSize(), func() {
+				cb(page, c.corrupt(gblk, erases, serial), nil)
 			})
 		})
 	})
 }
 
-// ProgramPage writes a raw stored image to a page. The image first
-// crosses the bus, then programming occupies the chip. NAND rules are
-// enforced: the page must be erased and must be the next page in its
-// block.
+// ProgramPage writes one page of data. The data and its OOB check bytes
+// first cross the bus, then programming occupies the chip. NAND rules
+// are enforced: the page must be erased and must be the next page in
+// its block.
 //
-// Ownership: the card keeps raw as the page's stored image instead of
-// copying it, so the caller hands raw over and must neither modify nor
-// reuse it after the call. Reads never expose it: ReadPage returns a
-// private copy.
-func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
+// Ownership: data must be exactly PageSize bytes, and the card keeps it
+// as the page's stored data instead of copying it, so the caller hands
+// data over and must neither modify nor reuse it after the call. Reads
+// share it read-only (see ReadPage).
+func (c *Card) ProgramPage(a Addr, data []byte, cb func(err error)) {
 	if err := c.checkAddr(a, true); err != nil {
 		cb(err)
 		return
 	}
-	if len(raw) != c.geo.StoredPageSize() {
-		cb(fmt.Errorf("%w: got %d, want %d", ErrWrongDataSize, len(raw), c.geo.StoredPageSize()))
+	if len(data) != c.geo.PageSize {
+		cb(fmt.Errorf("%w: got %d, want %d", ErrWrongDataSize, len(data), c.geo.PageSize))
 		return
 	}
+	// Cap the stored slice at the page so no reader can append into
+	// whatever capacity the caller's buffer had past it.
+	data = data[:len(data):len(data)]
 	cs := c.chipAt(a)
 	c.enqueue(cs, func(done func()) {
 		if c.failed {
@@ -377,10 +430,10 @@ func (c *Card) ProgramPage(a Addr, raw []byte, cb func(err error)) {
 			cb(fmt.Errorf("%w: %v (next programmable is page %d)", ErrOutOfOrder, a, cs.nextPage[a.Block]))
 			return
 		}
-		c.buses[a.Bus].pipe.Transfer(len(raw), func() {
+		c.buses[a.Bus].pipe.Transfer(c.geo.StoredPageSize(), func() {
 			c.eng.After(c.tim.Program, func() {
 				c.state[idx] = PageWritten
-				c.data[idx] = raw
+				c.data[idx] = data
 				cs.nextPage[a.Block]++
 				c.Programs.Inc()
 				done()
@@ -444,18 +497,20 @@ func (c *Card) globalBlock(a Addr) int {
 	return (a.Bus*c.geo.ChipsPerBus+a.Chip)*c.geo.BlocksPerChip + a.Block
 }
 
-// corrupt injects wear-dependent bit flips into out (a private copy of
-// the stored image) for the serial-th read of a block since its last
-// erase. The flip pattern is a pure function of (card seed, block,
-// erase count, read serial): each block carries its own error state, so
-// a block's noise history depends only on its own wear and read count —
-// never on how reads to other blocks, chips or cards interleave with it.
+// corrupt returns the bit flips injected into the serial-th read of a
+// block since its last erase, as positions over the stored image's
+// StoredPageSize()*8 bits, in c.flips (reset on every call). The flip
+// pattern is a pure function of (card seed, block, erase count, read
+// serial): each block carries its own error state, so a block's noise
+// history depends only on its own wear and read count — never on how
+// reads to other blocks, chips or cards interleave with it.
 //
 //simlint:hotpath
-func (c *Card) corrupt(out []byte, gblk int, eraseCount, serial int64) {
+func (c *Card) corrupt(gblk int, eraseCount, serial int64) []int {
+	c.flips = c.flips[:0]
 	rate := c.rel.BitErrorRate
 	if rate <= 0 {
-		return
+		return c.flips
 	}
 	if c.rel.EnduranceCycles > 0 {
 		rate *= 1 + float64(eraseCount)/float64(c.rel.EnduranceCycles)
@@ -463,7 +518,7 @@ func (c *Card) corrupt(out []byte, gblk int, eraseCount, serial int64) {
 	if c.rel.ReadDisturb > 0 {
 		rate *= 1 + c.rel.ReadDisturb*float64(serial)
 	}
-	bits := len(out) * 8
+	bits := c.geo.StoredPageSize() * 8
 	mean := rate * float64(bits)
 	// Per-(block, erase, read) stateless splitmix stream.
 	s := c.noiseSeed ^ mix64(uint64(gblk)*0x9e3779b97f4a7c15+1)
@@ -477,10 +532,10 @@ func (c *Card) corrupt(out []byte, gblk int, eraseCount, serial int64) {
 	}
 	for i := 0; i < flips; i++ {
 		s += 0x9e3779b97f4a7c15
-		pos := int(mix64(s) % uint64(bits))
-		out[pos/8] ^= 1 << uint(pos%8)
+		c.flips = append(c.flips, int(mix64(s)%uint64(bits)))
 		c.InjectedFlips.Inc()
 	}
+	return c.flips
 }
 
 // Fail marks the whole card dead: every subsequent operation — and
@@ -549,8 +604,10 @@ func (c *Card) State(a Addr) PageState {
 	return c.state[c.PageIndex(a)]
 }
 
-// Peek returns the stored raw image without timing or error injection.
-// It is a debug/test hook, not part of the modelled hardware surface.
+// Peek returns the page's stored data (PageSize bytes, read-only, the
+// slice reads share) without timing or error injection, or nil for a
+// free page. It is a debug/test hook, not part of the modelled hardware
+// surface.
 func (c *Card) Peek(a Addr) []byte {
 	if err := c.checkAddr(a, true); err != nil {
 		return nil

@@ -25,19 +25,15 @@ func perfectCard(t *testing.T, eng *sim.Engine) *Card {
 	return c
 }
 
-func mkRaw(c *Card, fill byte) []byte {
-	raw := make([]byte, c.Geometry().StoredPageSize())
-	for i := range raw {
-		raw[i] = fill
-	}
-	return raw
+func mkPage(c *Card, fill byte) []byte {
+	return bytes.Repeat([]byte{fill}, c.Geometry().PageSize)
 }
 
 func TestProgramReadRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
-	raw := mkRaw(c, 0xab)
+	raw := mkPage(c, 0xab)
 	want := bytes.Clone(raw) // the card keeps raw itself
 	var progErr error = errors.New("not called")
 	c.ProgramPage(a, raw, func(err error) { progErr = err })
@@ -45,15 +41,8 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if progErr != nil {
 		t.Fatalf("program: %v", progErr)
 	}
-	var got []byte
-	c.ReadPage(a, func(r []byte, err error) {
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		got = r
-	})
-	eng.Run()
-	if !bytes.Equal(got, want) {
+	got, flips := readPage(t, eng, c, a)
+	if !bytes.Equal(got, want) || len(flips) != 0 {
 		t.Fatal("read returned different bytes than programmed")
 	}
 }
@@ -62,7 +51,7 @@ func TestReadUnwrittenFails(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	var gotErr error
-	c.ReadPage(Addr{0, 0, 0, 0}, func(_ []byte, err error) { gotErr = err })
+	c.ReadPage(Addr{0, 0, 0, 0}, func(_ []byte, _ []int, err error) { gotErr = err })
 	eng.Run()
 	if !errors.Is(gotErr, ErrReadFree) {
 		t.Fatalf("err = %v, want ErrReadFree", gotErr)
@@ -73,14 +62,14 @@ func TestProgramTwiceFails(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	a := Addr{0, 0, 0, 0}
-	c.ProgramPage(a, mkRaw(c, 1), func(err error) {
+	c.ProgramPage(a, mkPage(c, 1), func(err error) {
 		if err != nil {
 			t.Fatalf("first program: %v", err)
 		}
 	})
 	eng.Run()
 	var second error
-	c.ProgramPage(a, mkRaw(c, 2), func(err error) { second = err })
+	c.ProgramPage(a, mkPage(c, 2), func(err error) { second = err })
 	eng.Run()
 	if !errors.Is(second, ErrNotErased) {
 		t.Fatalf("second program err = %v, want ErrNotErased", second)
@@ -91,7 +80,7 @@ func TestOutOfOrderProgramFails(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	var gotErr error
-	c.ProgramPage(Addr{0, 0, 0, 5}, mkRaw(c, 1), func(err error) { gotErr = err })
+	c.ProgramPage(Addr{0, 0, 0, 5}, mkPage(c, 1), func(err error) { gotErr = err })
 	eng.Run()
 	if !errors.Is(gotErr, ErrOutOfOrder) {
 		t.Fatalf("err = %v, want ErrOutOfOrder", gotErr)
@@ -102,7 +91,7 @@ func TestEraseFreesBlock(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	a := Addr{0, 0, 3, 0}
-	c.ProgramPage(a, mkRaw(c, 7), func(err error) {
+	c.ProgramPage(a, mkPage(c, 7), func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +111,7 @@ func TestEraseFreesBlock(t *testing.T) {
 	}
 	// Reprogramming page 0 after erase works.
 	var again error = errors.New("not called")
-	c.ProgramPage(a, mkRaw(c, 9), func(err error) { again = err })
+	c.ProgramPage(a, mkPage(c, 9), func(err error) { again = err })
 	eng.Run()
 	if again != nil {
 		t.Fatalf("reprogram after erase: %v", again)
@@ -133,11 +122,11 @@ func TestReadTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	c := perfectCard(t, eng)
 	a := Addr{0, 0, 0, 0}
-	c.ProgramPage(a, mkRaw(c, 1), func(error) {})
+	c.ProgramPage(a, mkPage(c, 1), func(error) {})
 	eng.Run()
 	start := eng.Now()
 	var done sim.Time
-	c.ReadPage(a, func([]byte, error) { done = eng.Now() })
+	c.ReadPage(a, func([]byte, []int, error) { done = eng.Now() })
 	eng.Run()
 	elapsed := done - start
 	// Expected: 50us cell read + 576B @ 150MB/s (3.84us) + 200ns latency.
@@ -156,14 +145,14 @@ func TestChipSerialization(t *testing.T) {
 	c := perfectCard(t, eng)
 	a := Addr{0, 0, 0, 0}
 	b := Addr{0, 0, 0, 1}
-	c.ProgramPage(a, mkRaw(c, 1), func(error) {})
+	c.ProgramPage(a, mkPage(c, 1), func(error) {})
 	eng.Run()
-	c.ProgramPage(b, mkRaw(c, 2), func(error) {})
+	c.ProgramPage(b, mkPage(c, 2), func(error) {})
 	eng.Run()
 	start := eng.Now()
 	var t1, t2 sim.Time
-	c.ReadPage(a, func([]byte, error) { t1 = eng.Now() - start })
-	c.ReadPage(b, func([]byte, error) { t2 = eng.Now() - start })
+	c.ReadPage(a, func([]byte, []int, error) { t1 = eng.Now() - start })
+	c.ReadPage(b, func([]byte, []int, error) { t2 = eng.Now() - start })
 	eng.Run()
 	if t2 <= t1 {
 		t.Fatalf("second read (%v) did not serialize after first (%v)", t2, t1)
@@ -182,13 +171,13 @@ func TestBusParallelism(t *testing.T) {
 	a := Addr{Bus: 0, Chip: 0, Block: 0, Page: 0}
 	b := Addr{Bus: 1, Chip: 0, Block: 0, Page: 0}
 	for _, addr := range []Addr{a, b} {
-		c.ProgramPage(addr, mkRaw(c, 3), func(error) {})
+		c.ProgramPage(addr, mkPage(c, 3), func(error) {})
 		eng.Run()
 	}
 	start := eng.Now()
 	var t1, t2 sim.Time
-	c.ReadPage(a, func([]byte, error) { t1 = eng.Now() - start })
-	c.ReadPage(b, func([]byte, error) { t2 = eng.Now() - start })
+	c.ReadPage(a, func([]byte, []int, error) { t1 = eng.Now() - start })
+	c.ReadPage(b, func([]byte, []int, error) { t2 = eng.Now() - start })
 	eng.Run()
 	if t1 != t2 {
 		t.Fatalf("parallel buses should finish together: %v vs %v", t1, t2)
@@ -213,7 +202,7 @@ func TestCardBandwidthSaturation(t *testing.T) {
 	for bus := 0; bus < geo.Buses; bus++ {
 		for chip := 0; chip < geo.ChipsPerBus; chip++ {
 			for p := 0; p < geo.PagesPerBlock; p++ {
-				c.ProgramPage(Addr{bus, chip, 0, p}, mkRaw(c, byte(p)), func(err error) {
+				c.ProgramPage(Addr{bus, chip, 0, p}, mkPage(c, byte(p)), func(err error) {
 					if err != nil {
 						t.Errorf("program: %v", err)
 					}
@@ -228,7 +217,7 @@ func TestCardBandwidthSaturation(t *testing.T) {
 	for bus := 0; bus < geo.Buses; bus++ {
 		for chip := 0; chip < geo.ChipsPerBus; chip++ {
 			for p := 0; p < geo.PagesPerBlock; p++ {
-				c.ReadPage(Addr{bus, chip, 0, p}, func(_ []byte, err error) {
+				c.ReadPage(Addr{bus, chip, 0, p}, func(_ []byte, _ []int, err error) {
 					if err != nil {
 						t.Errorf("read: %v", err)
 					}
@@ -262,8 +251,8 @@ func TestBadBlockRejectsOps(t *testing.T) {
 		t.Fatal("MarkBad did not stick")
 	}
 	var pErr, rErr, eErr error
-	c.ProgramPage(a, mkRaw(c, 1), func(err error) { pErr = err })
-	c.ReadPage(a, func(_ []byte, err error) { rErr = err })
+	c.ProgramPage(a, mkPage(c, 1), func(err error) { pErr = err })
+	c.ReadPage(a, func(_ []byte, _ []int, err error) { rErr = err })
 	c.EraseBlock(a, func(err error) { eErr = err })
 	eng.Run()
 	for name, err := range map[string]error{"program": pErr, "read": rErr, "erase": eErr} {
@@ -308,30 +297,36 @@ func TestBitErrorInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Addr{0, 0, 0, 0}
-	raw := mkRaw(c, 0x55)
+	raw := mkPage(c, 0x55)
 	want := bytes.Clone(raw) // the card keeps raw itself
 	c.ProgramPage(a, raw, func(error) {})
 	eng.Run()
-	flipsSeen := 0
+	flipsSeen, oobSeen := 0, 0
+	bits := c.Geometry().StoredPageSize() * 8
 	for i := 0; i < 20; i++ {
-		c.ReadPage(a, func(got []byte, err error) {
-			if err != nil {
-				t.Fatal(err)
+		got, flips := readPage(t, eng, c, a)
+		if !bytes.Equal(got, want) {
+			t.Fatal("read returned different data than programmed")
+		}
+		for _, p := range flips {
+			if p < 0 || p >= bits {
+				t.Fatalf("flip position %d outside the %d-bit stored image", p, bits)
 			}
-			for j := range got {
-				if got[j] != want[j] {
-					flipsSeen++
-				}
+			if p >= 8*c.Geometry().PageSize {
+				oobSeen++
 			}
-		})
-		eng.Run()
+		}
+		flipsSeen += len(flips)
 	}
-	if flipsSeen == 0 {
-		t.Fatal("no bit errors injected at rate 1e-3")
+	if flipsSeen == 0 || oobSeen == 0 {
+		t.Fatalf("%d bit errors (%d in OOB) injected at rate 1e-3, want both > 0", flipsSeen, oobSeen)
 	}
-	// The stored image must remain pristine (errors are read-path only).
+	if int64(flipsSeen) != c.InjectedFlips.Value() {
+		t.Fatalf("reads saw %d flips, InjectedFlips counts %d", flipsSeen, c.InjectedFlips.Value())
+	}
+	// The stored data must remain pristine (errors are read-path only).
 	if !bytes.Equal(c.Peek(a), want) {
-		t.Fatal("stored image was corrupted")
+		t.Fatal("stored data was corrupted")
 	}
 }
 
@@ -356,7 +351,7 @@ func TestBadAddressRejected(t *testing.T) {
 	}
 	for _, a := range bad {
 		var gotErr error
-		c.ReadPage(a, func(_ []byte, err error) { gotErr = err })
+		c.ReadPage(a, func(_ []byte, _ []int, err error) { gotErr = err })
 		eng.Run()
 		if !errors.Is(gotErr, ErrBadAddress) {
 			t.Errorf("addr %v: err = %v, want ErrBadAddress", a, gotErr)
@@ -372,6 +367,13 @@ func TestWrongSizeProgramRejected(t *testing.T) {
 	eng.Run()
 	if !errors.Is(gotErr, ErrWrongDataSize) {
 		t.Fatalf("err = %v, want ErrWrongDataSize", gotErr)
+	}
+	// The stored image size (data + OOB) is not a page of data either.
+	gotErr = nil
+	c.ProgramPage(Addr{0, 0, 0, 0}, make([]byte, c.Geometry().StoredPageSize()), func(err error) { gotErr = err })
+	eng.Run()
+	if !errors.Is(gotErr, ErrWrongDataSize) {
+		t.Fatalf("stored-size program: err = %v, want ErrWrongDataSize", gotErr)
 	}
 }
 

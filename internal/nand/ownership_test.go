@@ -8,61 +8,82 @@ import (
 	"repro/internal/sim"
 )
 
-// TestReadCopyIsPrivate pins the read side of the page ownership
-// contract: ProgramPage keeps the image it is given, so every read
-// must hand out its own copy. Correcting injected flips in place in
-// one read must leave the stored image (Peek) untouched, and two reads
-// of one page must never share a buffer with each other or the card.
+// TestReadCopyIsPrivate pins the read-only page contract at the card:
+// ProgramPage keeps the data it is given and every read shares that
+// slice. Through the controller's corrector (ecc.Correct), a clean read
+// and a read whose flips SEC-DED repairs both hand out the stored data
+// itself; only a read left with a residual error (three or more flips
+// in one word, miscorrected) gets a private copy. Nothing a reader does
+// with its copy, and no read at all, changes what Peek sees.
+//
+// A rate of 2e-4 gives the clean and the corrected reads; 1e-3 (at
+// least four flips a read) the rare miscorrected ones.
 func TestReadCopyIsPrivate(t *testing.T) {
-	eng := sim.NewEngine()
 	geo := testGeometry()
-	c, err := NewCard(eng, "own", geo, DefaultTiming(), Reliability{BitErrorRate: 2e-4}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	codec, err := ecc.NewPageCodec(geo.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, geo.PageSize)
-	sim.NewRNG(9).Bytes(data)
-	raw, err := codec.EncodePage(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := bytes.Clone(raw)
-	a := Addr{0, 0, 0, 0}
-	c.ProgramPage(a, raw, func(err error) {
+	clean, corrected, copied := 0, 0, 0
+	for _, ber := range []float64{2e-4, 1e-3} {
+		eng := sim.NewEngine()
+		c, err := NewCard(eng, "own", geo, DefaultTiming(), Reliability{BitErrorRate: ber}, 5)
 		if err != nil {
-			t.Fatalf("program: %v", err)
+			t.Fatal(err)
 		}
-	})
-	eng.Run()
-
-	corrected := 0
-	var prev []byte
-	for i := 0; i < 50 && corrected == 0; i++ {
-		got := readRaw(t, eng, c, a)
-		if &got[0] == &c.Peek(a)[0] {
-			t.Fatal("read returned the card's stored image, not a copy")
+		data := make([]byte, geo.PageSize)
+		sim.NewRNG(9).Bytes(data)
+		stored := bytes.Clone(data)
+		a := Addr{0, 0, 0, 0}
+		c.ProgramPage(a, data, func(err error) {
+			if err != nil {
+				t.Fatalf("program: %v", err)
+			}
+		})
+		eng.Run()
+		if &c.Peek(a)[0] != &data[0] || cap(c.Peek(a)) != geo.PageSize {
+			t.Fatal("the card does not keep the programmed slice, capped at the page")
 		}
-		if prev != nil && &got[0] == &prev[0] {
-			t.Fatal("two reads of one page returned the same buffer")
-		}
-		prev = got
-		res, err := codec.DecodePageInPlace(got)
-		if err != nil {
-			continue // a double flip in one word: not the case under test
-		}
-		if !bytes.Equal(res.Data, data) {
-			t.Fatalf("read %d decoded to different data", i)
-		}
-		corrected = res.Corrected
-		if !bytes.Equal(c.Peek(a), stored) {
-			t.Fatalf("read %d: correcting the read copy changed the stored image", i)
+		for i := 0; i < 2000; i++ {
+			var got []byte
+			var fixed, nflips int
+			var decErr error
+			c.ReadPage(a, func(page []byte, flips []int, err error) {
+				if err != nil {
+					t.Fatalf("read %d: %v", i, err)
+				}
+				if &page[0] != &c.Peek(a)[0] {
+					t.Fatalf("read %d did not share the stored data", i)
+				}
+				nflips = len(flips)
+				got, fixed, decErr = codec.Correct(page, flips)
+			})
+			eng.Run()
+			switch {
+			case decErr != nil:
+				// Detected double flip: no data handed out.
+			case &got[0] == &c.Peek(a)[0]:
+				if !bytes.Equal(got, stored) {
+					t.Fatalf("read %d shared the stored data but it differs", i)
+				}
+				if nflips == 0 {
+					clean++
+				} else if fixed > 0 {
+					corrected++
+				}
+			default:
+				if bytes.Equal(got, stored) {
+					t.Fatalf("read %d copied a page it did not change", i)
+				}
+				copied++
+				got[0] ^= 0xff // the copy is the reader's: writing it is harmless
+			}
+			if !bytes.Equal(c.Peek(a), stored) {
+				t.Fatalf("read %d changed the stored data", i)
+			}
 		}
 	}
-	if corrected == 0 {
-		t.Fatal("no read needed a correction; the test did not exercise one")
+	if clean == 0 || corrected == 0 || copied == 0 {
+		t.Fatalf("%d clean, %d corrected and %d miscorrected reads; the test needs each", clean, corrected, copied)
 	}
 }
